@@ -1,5 +1,6 @@
 // Command benchtab regenerates the paper's evaluation artifacts: Tables 1-3
-// and Figures 11-14, plus the compile-driver benchmark artifact.
+// and Figures 11-14. Performance of the system itself is measured by the
+// repository benchmark, bash sxbench/run.sh.
 //
 // Usage:
 //
@@ -12,20 +13,9 @@
 //	benchtab -machine ppc64              # switch the machine model
 //	benchtab -noprofile                  # static frequency estimates only
 //	benchtab -parallel 8                 # compile-driver worker count
-//	benchtab -compilebench -o BENCH_compile.json   # compile-time benchmark (JSON)
-//	benchtab -compilebench -cache -o BENCH_compile.json  # plus cold/warm cache pass
-//	benchtab -compilebench -tiered -o BENCH_compile.json # plus tiered-runtime pass
-//	benchtab -compilebench -interpbench -tiered -o BENCH_compile.json  # plus interpreter
-//	   dispatch microbenchmark; the tiered pass then uses the measured penalty
-//	benchtab -compilebench -peep -o BENCH_compile.json   # plus rule-table peephole pass
-//	benchtab -servebench -o BENCH_serve.json       # daemon load benchmark (JSON)
-//	benchtab -validate BENCH_compile.json          # sanity-check an artifact
-//	benchtab -validate BENCH_serve.json            # (kind is detected)
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -51,21 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noprofile := flag.Bool("noprofile", false, "disable interpreter branch profiles")
 	out := flag.String("o", "", "write output to this file instead of stdout")
 	parallel := flag.Int("parallel", 0, "compile-driver worker count (0 = all CPUs, 1 = sequential)")
-	compilebench := flag.Bool("compilebench", false, "run the compile-driver benchmark and emit the BENCH_compile.json artifact")
-	repeats := flag.Int("repeats", 3, "compile-benchmark timing repeats (minimum wall kept)")
-	useCache := flag.Bool("cache", false, "compile-benchmark: add a cold/warm compile-cache pass per workload")
-	cacheMB := flag.Int64("cache-mb", 64, "compile cache capacity in MiB (with -cache)")
-	useTiered := flag.Bool("tiered", false, "compile-benchmark: add a tiered-runtime pass per workload")
-	hotThreshold := flag.Int64("hot-threshold", 0, "tiered promotion threshold (0 = default)")
-	interpbench := flag.Bool("interpbench", false, "compile-benchmark: add the interpreter dispatch microbenchmark (switch vs threaded walls, measured tier penalty)")
-	usePeep := flag.Bool("peep", false, "compile-benchmark: add a rule-table peephole pass per workload (rewrite counts, cycle delta, identity)")
-	invocations := flag.Int("invocations", 0, "tiered invocations per workload (0 = default 4)")
-	servebench := flag.Bool("servebench", false, "run the compile-daemon load benchmark and emit the BENCH_serve.json artifact")
-	clients := flag.Int("clients", 0, "servebench concurrent clients (0 = default 8)")
-	requests := flag.Int("requests", 0, "servebench load-phase requests (0 = default 200)")
-	programs := flag.Int("programs", 0, "servebench distinct generated programs (0 = default 12)")
-	cacheDir := flag.String("cache-dir", "", "servebench daemon disk cache directory (empty: temp dir)")
-	validate := flag.String("validate", "", "validate an existing BENCH_*.json artifact and exit")
 	if err := flag.Parse(args); err != nil {
 		return 2
 	}
@@ -82,51 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *validate != "" {
-		data, err := os.ReadFile(*validate)
-		if err != nil {
-			fmt.Fprintln(stderr, "benchtab:", err)
-			return 1
-		}
-		// Artifact kind is detected by a field unique to the serve
-		// benchmark; everything else validates as a compile artifact.
-		if bytes.Contains(data, []byte(`"throughput_rps"`)) {
-			s, err := bench.ValidateServeBenchJSON(data)
-			if err != nil {
-				fmt.Fprintln(stderr, "benchtab:", err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "benchtab: %s OK: %d requests over %d programs from %d clients, p50 %.2fms p99 %.2fms, hit rate %.2f, %d degraded, identity pass\n",
-				*validate, s.Requests, s.Programs, s.Clients,
-				float64(s.P50NS)/1e6, float64(s.P99NS)/1e6, s.HitRate, s.DegradedSeen)
-			return 0
-		}
-		r, err := bench.ValidateCompileBenchJSON(data)
-		if err != nil {
-			fmt.Fprintln(stderr, "benchtab:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "benchtab: %s OK: %d workloads, %s/%s, parallelism %d on %d CPUs, speedup %.2fx\n",
-			*validate, len(r.Workloads), r.Suite, r.Machine, r.Parallelism, r.NumCPU, r.Speedup)
-		if r.CacheEnabled {
-			fmt.Fprintf(stdout, "benchtab: cache: warm speedup %.2fx, hit rate %.2f, identity pass\n",
-				r.WarmSpeedup, r.CacheStats.HitRate())
-		}
-		if r.TieredEnabled {
-			fmt.Fprintf(stdout, "benchtab: tiered: %d tier-ups over %d invocations, steady-state speedup %.2fx, identity pass\n",
-				r.TotalTierUps, r.TieredInvocations, r.TierSpeedup)
-		}
-		if r.InterpEnabled {
-			fmt.Fprintf(stdout, "benchtab: interp: threaded dispatch %.2fx over switch, measured tier penalty %.2fx, identity pass\n",
-				r.InterpSpeedup, r.MeasuredPenalty)
-		}
-		if r.PeepEnabled {
-			fmt.Fprintf(stdout, "benchtab: peep: %d rewrites, cycle gain %.4fx, identity pass\n",
-				r.TotalRewrites, r.PeepCycleGain)
-		}
-		return 0
-	}
-
 	// Output sink: stdout by default, -o path otherwise.
 	w := stdout
 	if *out != "" {
@@ -141,86 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}()
 		w = f
-	}
-
-	if *servebench {
-		dir := *cacheDir
-		if dir == "" {
-			d, err := os.MkdirTemp("", "servebench")
-			if err != nil {
-				fmt.Fprintln(stderr, "benchtab:", err)
-				return 1
-			}
-			defer os.RemoveAll(d)
-			dir = d
-		}
-		fmt.Fprintln(stderr, "benchtab: daemon load benchmark...")
-		r, err := bench.ServeBench(bench.ServeBenchOptions{
-			Machine: mach, Clients: *clients, Requests: *requests,
-			Programs: *programs, CacheBytes: *cacheMB << 20, CacheDir: dir,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "benchtab:", err)
-			return 1
-		}
-		if err := r.Validate(); err != nil {
-			fmt.Fprintln(stderr, "benchtab:", err)
-			return 1
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(r); err != nil {
-			fmt.Fprintln(stderr, "benchtab:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "benchtab: %d req, %.0f req/s, p50 %.2fms p99 %.2fms, hit rate %.2f, %d degraded, identity pass\n",
-			r.Requests, r.ThroughputRPS, float64(r.P50NS)/1e6, float64(r.P99NS)/1e6, r.HitRate, r.DegradedSeen)
-		return 0
-	}
-
-	if *compilebench {
-		fmt.Fprintf(stderr, "benchtab: compile benchmark (%d workloads, %d repeats)...\n",
-			len(workloads.All()), *repeats)
-		r, err := bench.CompileBench(workloads.All(), bench.CompileBenchOptions{
-			Machine: mach, UseProfile: !*noprofile,
-			Parallelism: *parallel, Repeats: *repeats,
-			Cache: *useCache, CacheBytes: *cacheMB << 20,
-			Tiered: *useTiered, TieredInvocations: *invocations, HotThreshold: *hotThreshold,
-			Interp: *interpbench, Peep: *usePeep,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "benchtab:", err)
-			return 1
-		}
-		if err := r.Validate(); err != nil {
-			fmt.Fprintln(stderr, "benchtab:", err)
-			return 1
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(r); err != nil {
-			fmt.Fprintln(stderr, "benchtab:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "benchtab: compile speedup %.2fx at parallelism %d (%d CPUs)\n",
-			r.Speedup, r.Parallelism, r.NumCPU)
-		if r.CacheEnabled {
-			fmt.Fprintf(stderr, "benchtab: warm-start speedup %.2fx, hit rate %.2f, identity pass\n",
-				r.WarmSpeedup, r.CacheStats.HitRate())
-		}
-		if r.TieredEnabled {
-			fmt.Fprintf(stderr, "benchtab: tiered: %d tier-ups, steady-state speedup %.2fx, identity pass\n",
-				r.TotalTierUps, r.TierSpeedup)
-		}
-		if r.InterpEnabled {
-			fmt.Fprintf(stderr, "benchtab: interp: threaded dispatch %.2fx over switch, measured tier penalty %.2fx, identity pass\n",
-				r.InterpSpeedup, r.MeasuredPenalty)
-		}
-		if r.PeepEnabled {
-			fmt.Fprintf(stderr, "benchtab: peep: %d rewrites, cycle gain %.4fx, identity pass\n",
-				r.TotalRewrites, r.PeepCycleGain)
-		}
-		return 0
 	}
 
 	if !*all && *table == 0 && *figure == 0 {

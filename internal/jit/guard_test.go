@@ -199,3 +199,54 @@ func TestOracleCheckOnPipeline(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckedInliningVerifyRecord: under Checked, verifying the inlined
+// program is timed as its own program-scope verify record, not as inlining;
+// without Checked no such record exists. A failed inlining phase still
+// restores the un-inlined program.
+func TestCheckedInliningVerifyRecord(t *testing.T) {
+	cu := compileSrc(t)
+	count := func(res *Result, phase string) (n int, fallback bool) {
+		for _, r := range res.Telemetry {
+			if r.Func == ProgramScope && r.Phase == phase {
+				n++
+				fallback = fallback || r.Fallback
+			}
+		}
+		return n, fallback
+	}
+	failInlining := func(phase string, _ *ir.Func) {
+		if phase == PhaseInlining {
+			panic("injected inlining failure")
+		}
+	}
+	cases := []struct {
+		name       string
+		checked    bool
+		hook       func(string, *ir.Func)
+		wantVerify int
+	}{
+		{"unchecked", false, nil, 0},
+		{"checked", true, nil, 1},
+		{"checked, inlining fails", true, failInlining, 0},
+	}
+	for _, tc := range cases {
+		res, err := Compile(cu.Prog, Options{
+			Variant: All, GeneralOpts: true, Checked: tc.checked, PhaseHook: tc.hook,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		fails := tc.hook != nil
+		if n, fb := count(res, PhaseInlining); n != 1 || fb != fails {
+			t.Fatalf("%s: %d inlining records (fallback %v), want 1 (fallback %v)", tc.name, n, fb, fails)
+		}
+		if n, _ := count(res, PhaseVerify); n != tc.wantVerify {
+			t.Fatalf("%s: %d program-scope verify records, want %d", tc.name, n, tc.wantVerify)
+		}
+		calls := res.Prog.Func("main").CountOp(ir.OpCall)
+		if inlined := calls == 0; inlined == fails {
+			t.Fatalf("%s: main has %d calls after compile; inlining fallback %v", tc.name, calls, fails)
+		}
+	}
+}

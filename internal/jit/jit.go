@@ -554,16 +554,24 @@ func Compile(src *ir.Program, o Options) (*Result, error) {
 	// floored to Convert64-only anyway, and inlining is the most expensive
 	// phase to spend a blown budget on.
 	if o.GeneralOpts && !o.ctxDone() {
+		// Under Checked the inlined program is verified inside the phase, so
+		// a verify failure restores the un-inlined clone; its time is
+		// recorded as a separate verify record, not as inlining.
 		t0 := time.Now()
+		var verifyWall time.Duration
+		verified := false
 		perr := guard.RunPhase(PhaseInlining, ProgramScope, o.Variant.String(), "", func() error {
 			if o.PhaseHook != nil {
 				o.PhaseHook(PhaseInlining, nil)
 			}
 			opt.InlineProgram(prog)
-			if o.Checked {
-				return guard.VerifyProgram(prog, o.Machine)
+			if !o.Checked {
+				return nil
 			}
-			return nil
+			tv := time.Now()
+			err := guard.VerifyProgram(prog, o.Machine)
+			verifyWall, verified = time.Since(tv), true
+			return err
 		})
 		if perr != nil {
 			prog = src.Clone()
@@ -571,8 +579,13 @@ func Compile(src *ir.Program, o Options) (*Result, error) {
 			res.Fallbacks = append(res.Fallbacks, perr)
 		}
 		res.Telemetry = append(res.Telemetry, PhaseRecord{
-			Func: ProgramScope, Phase: PhaseInlining, Wall: time.Since(t0), Fallback: perr != nil,
+			Func: ProgramScope, Phase: PhaseInlining, Wall: time.Since(t0) - verifyWall, Fallback: perr != nil,
 		})
+		if verified {
+			res.Telemetry = append(res.Telemetry, PhaseRecord{
+				Func: ProgramScope, Phase: PhaseVerify, Wall: verifyWall,
+			})
+		}
 		if o.Verify {
 			tv := time.Now()
 			var verr error

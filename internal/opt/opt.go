@@ -320,6 +320,7 @@ func licm(fn *ir.Func) int {
 		if pre == nil {
 			continue
 		}
+		before := n
 		// Count in-loop definitions per register. Loop membership is a set;
 		// iterate the RPO so hoisted instructions land in the preheader in a
 		// deterministic order (map-range order varies between runs and would
@@ -377,9 +378,10 @@ func licm(fn *ir.Func) int {
 				n++
 			}
 		}
-		if n > 0 {
+		if n > before {
 			// Hoisting changes reaching definitions; refresh for the next
-			// loop.
+			// loop. A loop that hoisted nothing left the function as the
+			// last rebuild saw it.
 			ch = chains.Build(fn, info)
 			lv = dataflow.ComputeLiveness(fn, info)
 		}

@@ -18,7 +18,8 @@ import (
 // focused on its one rule, the stats counter must show the rule fired
 // inside the pipeline, and the peeped build must be bit-identical to the
 // Mode32 reference of the 32-bit form — across both machine models and
-// both interpreter dispatchers. This is the rewrite-fires +
+// both interpreter dispatchers — while executing fewer modelled cycles
+// than the same pipeline without the pass. This is the rewrite-fires +
 // differential-identity acceptance gate, run on the committed artifacts so
 // a stale checkout cannot pass by accident.
 func TestGeneratedProgramsThroughJIT(t *testing.T) {
@@ -38,11 +39,16 @@ func TestGeneratedProgramsThroughJIT(t *testing.T) {
 				t.Fatalf("Mode32 reference: %v", err)
 			}
 			for _, mach := range []ir.Machine{ir.IA64, ir.PPC64} {
-				res, err := jit.Compile(prog, jit.Options{
+				opts := jit.Options{
 					Variant: jit.All, Machine: mach, GeneralOpts: true,
 					Checked: true, Parallelism: 1,
-					Peep: true, PeepRules: []string{r.Name},
-				})
+				}
+				base, err := jit.Compile(prog, opts)
+				if err != nil {
+					t.Fatalf("%v: base compile: %v", mach, err)
+				}
+				opts.Peep, opts.PeepRules = true, []string{r.Name}
+				res, err := jit.Compile(prog, opts)
 				if err != nil {
 					t.Fatalf("%v: peeped compile: %v", mach, err)
 				}
@@ -63,6 +69,19 @@ func TestGeneratedProgramsThroughJIT(t *testing.T) {
 						t.Fatalf("%v dispatch %d: peeped build diverged from Mode32 reference\ngot  %q\nwant %q",
 							mach, d, got.Output, ref.Output)
 					}
+				}
+				// The rewrite must pay off in modelled cycles at run time.
+				baseRun, err := jit.Execute(base, "main")
+				if err != nil {
+					t.Fatalf("%v: base run: %v", mach, err)
+				}
+				peepRun, err := jit.Execute(res, "main")
+				if err != nil {
+					t.Fatalf("%v: peeped run: %v", mach, err)
+				}
+				if peepRun.Cycles >= baseRun.Cycles {
+					t.Errorf("%v: peeped build runs %d modelled cycles, no fewer than the base build's %d",
+						mach, peepRun.Cycles, baseRun.Cycles)
 				}
 			}
 		})

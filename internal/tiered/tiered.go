@@ -70,10 +70,8 @@ type Config struct {
 	// InterpPenalty scales the cycle cost of instructions executed in
 	// interpreter-tier frames, making the tier split visible in the cycle
 	// telemetry. Default DefaultInterpPenalty (a modelled 10×); 1 disables
-	// the penalty. bench.CompileBench replaces the default with a measured
-	// ratio — interpreter nanoseconds per cycle over compiled-form
-	// nanoseconds per cycle — so artifact tier-up speedups are calibrated
-	// rather than assumed.
+	// the penalty. The penalty and every speedup derived from it are
+	// modelled, not measured.
 	InterpPenalty float64
 
 	// MaxSteps bounds each invocation's interpreter steps (0 = interp

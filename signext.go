@@ -408,8 +408,8 @@ type TieredOptions struct {
 	// default; negative never promotes.
 	HotThreshold int64
 
-	// InterpPenalty scales cycles of interpreter-tier frames (default 10;
-	// bench runs substitute a measured interpreter-vs-compiled ratio).
+	// InterpPenalty scales cycles of interpreter-tier frames (default 10,
+	// a modelled ratio).
 	InterpPenalty float64
 
 	// MaxSteps bounds each invocation's interpreter steps (0 = default).
