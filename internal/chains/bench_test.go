@@ -61,3 +61,18 @@ func BenchmarkRemoveSameRegExt(b *testing.B) {
 		}
 	}
 }
+
+// maxBuildAllocs bounds the allocations of one Build of benchLadder(120, 12):
+// 21 measured, plus a margin of 5 for a table added or an append that grows.
+// Build used to allocate 1530 times on this function, a map entry or list
+// growth per edge; the dense layout allocates a fixed set of tables.
+const maxBuildAllocs = 26
+
+func TestBuildAllocs(t *testing.T) {
+	fn := benchLadder(120, 12)
+	info := cfg.Compute(fn)
+	got := testing.AllocsPerRun(20, func() { Build(fn, info) })
+	if got > maxBuildAllocs {
+		t.Fatalf("Build allocates %.0f times per call, want at most %d", got, maxBuildAllocs)
+	}
+}

@@ -291,3 +291,47 @@ func TestRemovalSequenceMatchesRebuild(t *testing.T) {
 		compareChains(t, fn, c, fresh)
 	}
 }
+
+// TestDiff: Diff accepts two builds of one function and reports a dropped
+// UD edge, the corruption guard.Injector.CorruptChain plants.
+func TestDiff(t *testing.T) {
+	fn, _, add, _ := buildLoop()
+	info := cfg.Compute(fn)
+	c := Build(fn, info)
+	if err := Diff(c, Build(fn, info)); err != nil {
+		t.Fatalf("two builds differ: %v", err)
+	}
+	if !c.DropUDEdge(add, 0) {
+		t.Fatal("no UD edge to drop")
+	}
+	if err := Diff(c, Build(fn, info)); err == nil {
+		t.Fatal("Diff missed a dropped UD edge")
+	}
+}
+
+// TestNoChainsForLaterInstructions: an instruction created after Build, an
+// operand index past those an instruction had at Build, and an extension
+// removed through RemoveSameRegExt all read as having no chains.
+func TestNoChainsForLaterInstructions(t *testing.T) {
+	fn, _, add, ext := buildLoop()
+	c := Build(fn, cfg.Compute(fn))
+
+	late := fn.NewInstr(ir.OpMov)
+	late.Dst, late.Srcs[0], late.NSrcs = add.Dst, add.Dst, 1
+	ext.Blk.InsertAfter(ext, late)
+	if got := c.UD(late, 0); got != nil {
+		t.Errorf("UD of an instruction made after Build: %v", got)
+	}
+	if got := c.DU(late); got != nil {
+		t.Errorf("DU of an instruction made after Build: %v", got)
+	}
+	if got := c.UD(add, add.NumUses()); got != nil {
+		t.Errorf("UD of an operand past the add's last: %v", got)
+	}
+	late.Blk.Remove(late)
+
+	c.RemoveSameRegExt(ext)
+	if c.UD(ext, 0) != nil || c.DU(ext) != nil {
+		t.Errorf("removed extension still has chains: UD %v, DU %v", c.UD(ext, 0), c.DU(ext))
+	}
+}

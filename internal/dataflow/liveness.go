@@ -5,51 +5,81 @@ import (
 	"signext/internal/ir"
 )
 
-// Liveness holds per-block live-register sets.
+// Liveness holds per-block live-register sets, indexed by the block's
+// position in Fn.Blocks. The sets range over global registers only (see
+// Reaching): no other register is live at a block boundary.
 type Liveness struct {
 	Fn      *ir.Func
-	In, Out map[*ir.Block]BitSet // live registers at block entry/exit
+	In, Out []BitSet // live registers at block entry/exit, by bit
+	Bit     []int32  // register -> index in the sets, -1 if it is not global
+	Regs    []ir.Reg // index in the sets -> register
+
+	pos blockIndex
+}
+
+// Index returns the position of b in Fn.Blocks, the index of its In and Out
+// sets.
+func (lv *Liveness) Index(b *ir.Block) int { return int(lv.pos[b.ID]) }
+
+// LiveIn reports whether reg is live at the entry of b.
+func (lv *Liveness) LiveIn(b *ir.Block, reg ir.Reg) bool {
+	bit := lv.Bit[reg]
+	return bit >= 0 && lv.In[lv.Index(b)].Has(int(bit))
+}
+
+// LiveOut sets dst, a set over all registers, to the registers live at the
+// exit of the block at position k.
+func (lv *Liveness) LiveOut(dst BitSet, k int) {
+	dst.Reset()
+	lv.Out[k].ForEach(func(i int) { dst.Set(int(lv.Regs[i])) })
 }
 
 // ComputeLiveness solves backward liveness over the registers of fn.
 func ComputeLiveness(fn *ir.Func, info *cfg.Info) *Liveness {
-	lv := &Liveness{Fn: fn, In: map[*ir.Block]BitSet{}, Out: map[*ir.Block]BitSet{}}
-	n := fn.NReg
-	use := map[*ir.Block]BitSet{}
-	def := map[*ir.Block]BitSet{}
-	for _, b := range fn.Blocks {
-		u := NewBitSet(n)
-		d := NewBitSet(n)
+	lv := &Liveness{Fn: fn, Bit: make([]int32, fn.NReg), pos: newBlockIndex(fn)}
+	global := globalRegs(fn, lv.Bit)
+	lv.Regs = make([]ir.Reg, 0, global.Count())
+	for reg := range lv.Bit {
+		lv.Bit[reg] = -1
+		if global.Has(reg) {
+			lv.Bit[reg] = int32(len(lv.Regs))
+			lv.Regs = append(lv.Regs, ir.Reg(reg))
+		}
+	}
+	nb := len(fn.Blocks)
+	sets := carve(4*nb+1, (len(lv.Regs)+63)/64)
+	lv.In, lv.Out = sets[:nb:nb], sets[nb:2*nb:2*nb]
+	use, def, tmp := sets[2*nb:3*nb], sets[3*nb:4*nb], sets[4*nb]
+	for k, b := range fn.Blocks {
+		u, d := use[k], def[k]
 		for _, ins := range b.Instrs {
-			ins.ForEachUse(func(_ int, r ir.Reg) {
-				if !d.Has(int(r)) {
-					u.Set(int(r))
+			for op := 0; op < ins.NumUses(); op++ {
+				if bit := int(lv.Bit[ins.UseAt(op)]); bit >= 0 && !d.Has(bit) {
+					u.Set(bit)
 				}
-			})
+			}
 			if ins.HasDst() {
-				d.Set(int(ins.Dst))
+				if bit := int(lv.Bit[ins.Dst]); bit >= 0 {
+					d.Set(bit)
+				}
 			}
 		}
-		use[b], def[b] = u, d
-		lv.In[b] = NewBitSet(n)
-		lv.Out[b] = NewBitSet(n)
 	}
-	order := info.PostOrder()
 	changed := true
-	tmp := NewBitSet(n)
 	for changed {
 		changed = false
-		for _, b := range order {
-			out := lv.Out[b]
+		for j := len(info.RPO) - 1; j >= 0; j-- { // postorder
+			k := lv.Index(info.RPO[j])
+			out := lv.Out[k]
 			out.Reset()
-			for _, s := range b.Succs {
-				out.UnionWith(lv.In[s])
+			for _, s := range info.RPO[j].Succs {
+				out.UnionWith(lv.In[lv.Index(s)])
 			}
 			tmp.CopyFrom(out)
-			tmp.AndNotWith(def[b])
-			tmp.UnionWith(use[b])
-			if !tmp.Equal(lv.In[b]) {
-				lv.In[b].CopyFrom(tmp)
+			tmp.AndNotWith(def[k])
+			tmp.UnionWith(use[k])
+			if !tmp.Equal(lv.In[k]) {
+				lv.In[k].CopyFrom(tmp)
 				changed = true
 			}
 		}
@@ -63,18 +93,15 @@ func (lv *Liveness) LiveAfter(ins *ir.Instr, reg ir.Reg) bool {
 	idx := b.IndexOf(ins)
 	for k := idx + 1; k < len(b.Instrs); k++ {
 		x := b.Instrs[k]
-		found := false
-		x.ForEachUse(func(_ int, r ir.Reg) {
-			if r == reg {
-				found = true
+		for op := 0; op < x.NumUses(); op++ {
+			if x.UseAt(op) == reg {
+				return true
 			}
-		})
-		if found {
-			return true
 		}
 		if x.HasDst() && x.Dst == reg {
 			return false
 		}
 	}
-	return lv.Out[b].Has(int(reg))
+	bit := lv.Bit[reg]
+	return bit >= 0 && lv.Out[lv.Index(b)].Has(int(bit))
 }

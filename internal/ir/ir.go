@@ -434,8 +434,14 @@ func (f *Func) NewInstr(op Op) *Instr {
 }
 
 // NumInstrIDs returns an upper bound on instruction IDs, usable to size dense
-// per-instruction tables.
+// per-instruction tables. Verify rejects an instruction whose ID is outside
+// [0, NumInstrIDs()).
 func (f *Func) NumInstrIDs() int { return f.nextIID }
+
+// NumBlockIDs returns an upper bound on block IDs, usable to size dense
+// per-block tables. Verify rejects a block whose ID is outside
+// [0, NumBlockIDs()).
+func (f *Func) NumBlockIDs() int { return f.nextBID }
 
 // ForEachInstr calls fn for every instruction in layout order.
 func (f *Func) ForEachInstr(fn func(b *Block, ins *Instr)) {

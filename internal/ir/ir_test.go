@@ -323,3 +323,23 @@ func TestProgramLookup(t *testing.T) {
 		t.Fatal("program clone shares functions")
 	}
 }
+
+// TestVerifyRejectsIDOutOfRange: dense per-instruction tables index by
+// Instr.ID, so Verify rejects an ID outside [0, NumInstrIDs()).
+func TestVerifyRejectsIDOutOfRange(t *testing.T) {
+	for _, id := range []func(f *Func) int{
+		func(f *Func) int { return -1 },
+		func(f *Func) int { return f.NumInstrIDs() },
+	} {
+		b := NewFunc("f")
+		ins := b.Print(W32, b.Const(W32, 1))
+		b.Ret(NoReg)
+		if err := b.Fn.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		ins.ID = id(b.Fn)
+		if err := b.Fn.Verify(); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("ID %d accepted: %v", ins.ID, err)
+		}
+	}
+}

@@ -9,10 +9,13 @@ func (f *Func) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", f.Name)
 	}
-	seenID := map[int]bool{}
+	seenID := make([]bool, f.nextIID)
 	for _, b := range f.Blocks {
 		if b.Fn != f {
 			return fmt.Errorf("%s/%s: block has wrong Fn", f.Name, b)
+		}
+		if b.ID < 0 || b.ID >= f.nextBID {
+			return fmt.Errorf("%s/%s: block ID outside [0, %d)", f.Name, b, f.nextBID)
 		}
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("%s/%s: empty block", f.Name, b)
@@ -20,6 +23,9 @@ func (f *Func) Verify() error {
 		for k, ins := range b.Instrs {
 			if ins.Blk != b {
 				return fmt.Errorf("%s/%s: instr %s has wrong Blk", f.Name, b, ins)
+			}
+			if ins.ID < 0 || ins.ID >= f.nextIID {
+				return fmt.Errorf("%s/%s: instr ID %d outside [0, %d): %s", f.Name, b, ins.ID, f.nextIID, ins)
 			}
 			if seenID[ins.ID] {
 				return fmt.Errorf("%s/%s: duplicate instr ID %d", f.Name, b, ins.ID)

@@ -280,10 +280,11 @@ func dce(fn *ir.Func) int {
 	info := cfg.Compute(fn)
 	lv := dataflow.ComputeLiveness(fn, info)
 	n := 0
-	for _, b := range fn.Blocks {
+	live := dataflow.NewBitSet(fn.NReg)
+	for k, b := range fn.Blocks {
 		// Walk backward with a live set so chains of dead code die in one
 		// pass.
-		live := lv.Out[b].Clone()
+		lv.LiveOut(live, k)
 		var dead []*ir.Instr
 		for k := len(b.Instrs) - 1; k >= 0; k-- {
 			ins := b.Instrs[k]
@@ -320,7 +321,7 @@ func licm(fn *ir.Func) int {
 		if pre == nil {
 			continue
 		}
-		before := n
+		var moved []*ir.Instr
 		// Count in-loop definitions per register. Loop membership is a set;
 		// iterate the RPO so hoisted instructions land in the preheader in a
 		// deterministic order (map-range order varies between runs and would
@@ -350,7 +351,7 @@ func licm(fn *ir.Func) int {
 				}
 				// The destination must not be live around the back edge
 				// before this definition (no prior value observed).
-				if lv.In[l.Header].Has(int(ins.Dst)) {
+				if lv.LiveIn(l.Header, ins.Dst) {
 					continue
 				}
 				invariant := true
@@ -377,17 +378,29 @@ func licm(fn *ir.Func) int {
 				pre.InsertBefore(term, ins)
 				n++
 			}
+			moved = append(moved, hoist...)
 		}
-		if n > before {
-			// Hoisting changes reaching definitions; refresh for the next
-			// loop. A loop that hoisted nothing left the function as the
-			// last rebuild saw it.
-			ch = chains.Build(fn, info)
+		if len(moved) > 0 {
+			// Hoisting makes the destinations live into the header; refresh
+			// liveness for the next loop. The chains stay current: the
+			// hoisted instruction is the loop's only definition of a
+			// register not live into the header, and its operands are
+			// defined only outside the loop, so the same definitions reach
+			// its operands at the end of the preheader and the same uses
+			// see its definition. Moved restores the lists' layout order.
+			ch.Moved(moved...)
 			lv = dataflow.ComputeLiveness(fn, info)
+			if hoisted != nil {
+				hoisted(fn, ch)
+			}
 		}
 	}
 	return n
 }
+
+// hoisted, when set, sees the chains licm keeps after every loop that
+// hoisted; tests compare them with a fresh build.
+var hoisted func(fn *ir.Func, ch *chains.Chains)
 
 // DCE removes pure instructions whose results are never observed and
 // returns the number removed. It is exported for passes (the peephole

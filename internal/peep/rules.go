@@ -550,8 +550,10 @@ func condAlways(cond ir.Cond, rx, ry vrangeRange) bool {
 
 // foldDecidedBranch rewrites the anchor into a jump to the decided
 // successor and removes the dead edge. The abandoned block may become
-// unreachable; it is left in place — the verifier tolerates unreachable
-// blocks and the interpreter never executes them.
+// unreachable; it is left in place, and the interpreter never executes it.
+// The deep verifier still checks it, against an empty set of reaching
+// definitions, so a dead arm that reads a register defined outside itself
+// fails verification and the fold below is reverted.
 //
 // Removing an edge can, however, sever the only def→use path of a register
 // some still-reachable block reads (the definition sat on the arm the
