@@ -10,9 +10,9 @@ import "signext/internal/ir"
 // Info bundles the control-flow facts for one function.
 type Info struct {
 	Fn      *ir.Func
-	RPO     []*ir.Block       // reverse postorder, entry first
-	RPONum  map[*ir.Block]int // block -> position in RPO
-	IDom    map[*ir.Block]*ir.Block
+	RPO     []*ir.Block         // reverse postorder, entry first
+	RPONum  []int               // Block.ID -> position in RPO, -1 when unreachable
+	IDom    []*ir.Block         // Block.ID -> immediate dominator; the entry's is itself, nil when unreachable
 	Loops   []*Loop             // outermost-first within each nest
 	LoopOf  map[*ir.Block]*Loop // innermost loop containing the block
 	Reached map[*ir.Block]bool  // reachable from entry
@@ -35,8 +35,8 @@ func (l *Loop) Contains(b *ir.Block) bool { return l.Blocks[b] }
 func Compute(fn *ir.Func) *Info {
 	info := &Info{
 		Fn:      fn,
-		RPONum:  map[*ir.Block]int{},
-		IDom:    map[*ir.Block]*ir.Block{},
+		RPONum:  make([]int, fn.NumBlockIDs()),
+		IDom:    make([]*ir.Block, fn.NumBlockIDs()),
 		LoopOf:  map[*ir.Block]*Loop{},
 		Reached: map[*ir.Block]bool{},
 	}
@@ -65,22 +65,25 @@ func (info *Info) computeRPO() {
 	for k := range post {
 		info.RPO[k] = post[len(post)-1-k]
 	}
+	for k := range info.RPONum {
+		info.RPONum[k] = -1
+	}
 	for k, b := range info.RPO {
-		info.RPONum[b] = k
+		info.RPONum[b.ID] = k
 	}
 }
 
 // computeDominators uses the Cooper-Harvey-Kennedy iterative algorithm.
 func (info *Info) computeDominators() {
 	entry := info.Fn.Entry()
-	info.IDom[entry] = entry
+	info.IDom[entry.ID] = entry
 	changed := true
 	for changed {
 		changed = false
 		for _, b := range info.RPO[1:] {
 			var newIDom *ir.Block
 			for _, p := range b.Preds {
-				if info.IDom[p] == nil {
+				if info.IDom[p.ID] == nil {
 					continue // unprocessed or unreachable
 				}
 				if newIDom == nil {
@@ -89,8 +92,8 @@ func (info *Info) computeDominators() {
 					newIDom = info.intersect(p, newIDom)
 				}
 			}
-			if newIDom != nil && info.IDom[b] != newIDom {
-				info.IDom[b] = newIDom
+			if newIDom != nil && info.IDom[b.ID] != newIDom {
+				info.IDom[b.ID] = newIDom
 				changed = true
 			}
 		}
@@ -99,11 +102,11 @@ func (info *Info) computeDominators() {
 
 func (info *Info) intersect(a, b *ir.Block) *ir.Block {
 	for a != b {
-		for info.RPONum[a] > info.RPONum[b] {
-			a = info.IDom[a]
+		for info.RPONum[a.ID] > info.RPONum[b.ID] {
+			a = info.IDom[a.ID]
 		}
-		for info.RPONum[b] > info.RPONum[a] {
-			b = info.IDom[b]
+		for info.RPONum[b.ID] > info.RPONum[a.ID] {
+			b = info.IDom[b.ID]
 		}
 	}
 	return a
@@ -119,12 +122,21 @@ func (info *Info) Dominates(a, b *ir.Block) bool {
 		if b == entry {
 			return false
 		}
-		d := info.IDom[b]
+		d := info.IdomOf(b)
 		if d == nil || d == b {
 			return false
 		}
 		b = d
 	}
+}
+
+// IdomOf returns b's immediate dominator: b itself for the entry, nil for a
+// block unreachable from it or created after Compute.
+func (info *Info) IdomOf(b *ir.Block) *ir.Block {
+	if b.ID >= len(info.IDom) {
+		return nil
+	}
+	return info.IDom[b.ID]
 }
 
 func (info *Info) computeLoops() {

@@ -56,7 +56,7 @@ func TestRPOStartsAtEntry(t *testing.T) {
 	// Every block except loop headers appears after all its predecessors.
 	for _, b := range info.RPO {
 		for _, p := range b.Preds {
-			if info.RPONum[p] > info.RPONum[b] && !info.Dominates(b, p) {
+			if info.RPONum[p.ID] > info.RPONum[b.ID] && !info.Dominates(b, p) {
 				t.Errorf("%v before its non-backedge predecessor %v", b, p)
 			}
 		}
@@ -83,8 +83,8 @@ func TestDominators(t *testing.T) {
 			t.Errorf("Dominates(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
-	if info.IDom[m["innerBody"]] != m["innerHead"] {
-		t.Errorf("idom(innerBody) = %v", info.IDom[m["innerBody"]])
+	if info.IDom[m["innerBody"].ID] != m["innerHead"] {
+		t.Errorf("idom(innerBody) = %v", info.IDom[m["innerBody"].ID])
 	}
 }
 

@@ -208,9 +208,11 @@ func localCSE(fn *ir.Func) int {
 		cond ir.Cond
 	}
 	n := 0
+	avail := map[exprKey]ir.Reg{} // expression -> register holding it
+	deps := map[ir.Reg][]exprKey{}
 	for _, b := range fn.Blocks {
-		avail := map[exprKey]ir.Reg{} // expression -> register holding it
-		deps := map[ir.Reg][]exprKey{}
+		clear(avail)
+		clear(deps)
 		for _, ins := range b.Instrs {
 			cseable := ins.Pure() && ins.HasDst() && ins.NumUses() <= 2 && len(ins.Args) == 0
 			var k exprKey

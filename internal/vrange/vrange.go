@@ -9,6 +9,14 @@
 // is well defined even when the register's upper bits are dirty, and it is
 // invariant under insertion or removal of 32-bit sign extensions, so ranges
 // computed once per phase remain valid throughout the elimination phase.
+//
+// The fixpoint is solved sparsely without changing its order. Passes still
+// visit definitions in layout order, but only the dirty ones: those whose
+// transfer reads a range that changed since they were last evaluated. An
+// evaluation skipped that way would have stored its previous result again,
+// so the ranges are bit-identical to re-evaluating every definition every
+// pass; a worklist in any other order would not be, because widening is
+// order-sensitive.
 package vrange
 
 import (
@@ -96,18 +104,73 @@ func shlExact(v int64, n uint) (int64, bool) {
 }
 
 // Analysis holds the fixpoint solution for one function.
+//
+// Its tables are dense. Per-instruction state is indexed by Instr.ID and sized
+// by the function's NumInstrIDs at Compute; each operand of an instruction
+// present then has a use slot, numbered in Instr.ID order. An instruction
+// created after Compute reports no range.
 type Analysis struct {
 	fn     *ir.Func
 	ch     *chains.Chains
 	info   *cfg.Info
 	mach   ir.Machine
 	maxLen int64
-	defs   map[*ir.Instr]Range
-	bumpLo map[*ir.Instr]int
-	bumpHi map[*ir.Instr]int
-	sites  map[blockReg][]condSite
-	prefix map[useKey]bool // memo: query operand has an earlier in-block semantic def
+
+	// Evals counts the transfer evaluations Compute made, a deterministic
+	// measure of its work.
+	Evals int
+
+	nodes []node     // Instr.ID -> state
+	order []int32    // IDs of the definitions, in layout order
+	slots []slot     // use slot -> operand facts
+	keys  []siteKey  // condition sites of a register at a block, per block and register read by a definition
+	sites []condSite // backing array of every key's and memo entry's sites
+
+	// Dependents, for the solve only: the definitions whose transfer reads
+	// definition d are deps[off[d]:off[d+1]], by Instr.ID.
+	off, deps []int32
+	ndirty    int
+
+	// The per-query memos the slots do not hold: condition sites by block
+	// and register, seeded from the keys a transfer read on first use, and
+	// the prefix memo of instructions created after Compute. Then
+	// regReachesWithoutD's scratch.
+	memo       map[blockReg]span
+	latePrefix map[useKey]bool
+	stamp      []uint32 // Block.ID -> epoch of the last walk that reached it
+	epoch      uint32
+	blocks     []*ir.Block
 }
+
+// node is the state of the instruction with one ID.
+type node struct {
+	ins            *ir.Instr // nil when no instruction had the ID at Compute
+	r              Range     // the destination's range; bottom until first evaluated
+	use, nuse      int32     // first use slot, and the operand count at Compute
+	nread          int32     // the leading operands the transfer reads
+	bumpLo, bumpHi int32     // widening counters
+	def, dirty     bool      // ins had a destination at Compute; its transfer must be re-evaluated
+}
+
+// slot is one operand's facts. Compute fills blocked and key for every
+// operand a definition's transfer reads before it solves; known records that
+// the transfer read them, which is when the per-query memo takes them over.
+type slot struct {
+	known   bool  // blocked is memoized
+	blocked bool  // a semantic definition of the register precedes the read in its block
+	key     int32 // index in keys of the read's condition sites, -1 when none was computed
+}
+
+// siteKey is the condition sites of reg at blk. pub records that a transfer
+// read them, so that a later query of the same block and register sees them.
+type siteKey struct {
+	blk *ir.Block
+	reg ir.Reg
+	span
+	pub bool
+}
+
+type span struct{ lo, hi int32 }
 
 type useKey struct {
 	ins *ir.Instr
@@ -120,55 +183,55 @@ const widenAfter = 8
 // (the paper's maxlen; 0x7fffffff for Java). info supplies the control-flow
 // facts used to refine ranges with dominating branch conditions — the role
 // played by symbolic range propagation in the paper's section 3.
+//
+// The solve is sparse but keeps round-robin order: each pass visits, in
+// layout order, only the definitions marked dirty, and a definition whose
+// range changes marks the definitions whose transfer reads it. A skipped
+// evaluation would have read the ranges of its last one and so stored its
+// result again, a no-op under Union and Intersect that leaves every widening
+// decision as it was; the solution is that of visiting every definition
+// every pass.
 func Compute(fn *ir.Func, ch *chains.Chains, info *cfg.Info, mach ir.Machine, maxLen int64) *Analysis {
-	a := &Analysis{
-		fn:     fn,
-		ch:     ch,
-		info:   info,
-		mach:   mach,
-		maxLen: maxLen,
-		defs:   map[*ir.Instr]Range{},
-		bumpLo: map[*ir.Instr]int{},
-		bumpHi: map[*ir.Instr]int{},
+	a := newAnalysis(fn, ch, info, mach, maxLen)
+	a.link()
+	for _, id := range a.order {
+		a.nodes[id].dirty = true
 	}
-	if a.maxLen == 0 {
-		a.maxLen = math.MaxInt32
-	}
-	for pass := 0; pass < 60; pass++ {
-		changed := false
-		fn.ForEachInstr(func(_ *ir.Block, ins *ir.Instr) {
-			if !ins.HasDst() {
-				return
+	a.ndirty = len(a.order)
+	// Widening bounds the changes of each definition, so the passes end.
+	for pass := 0; a.ndirty > 0; pass++ {
+		for _, id := range a.order {
+			n := &a.nodes[id]
+			if !n.dirty {
+				continue
 			}
-			nr := a.transfer(ins)
-			old, seen := a.defs[ins]
-			if seen {
+			n.dirty = false
+			a.ndirty--
+			nr := a.transfer(n.ins)
+			a.Evals++
+			if pass > 0 {
+				old := n.r
 				nr = nr.Union(old) // monotone growth
-			}
-			if !seen || nr != old {
 				// Widen only the moving bound, so stable bounds (a loop
 				// counter's zero floor) survive widening.
-				full := a.fullFor(ins.W)
-				if seen && nr.Lo < old.Lo {
-					a.bumpLo[ins]++
-					if a.bumpLo[ins] > widenAfter {
+				full := a.fullFor(n.ins.W)
+				if nr.Lo < old.Lo {
+					n.bumpLo++
+					if n.bumpLo > widenAfter {
 						nr.Lo = full.Lo
 					}
 				}
-				if seen && nr.Hi > old.Hi {
-					a.bumpHi[ins]++
-					if a.bumpHi[ins] > widenAfter {
+				if nr.Hi > old.Hi {
+					n.bumpHi++
+					if n.bumpHi > widenAfter {
 						nr.Hi = full.Hi
 					}
 				}
-				if !seen || nr != old {
-					a.defs[ins] = nr
-					changed = true
-				}
 			}
-		})
-		if !changed {
-			break
+			if nr != n.r {
+				n.r = nr
+				a.touch(id)
+			}
 		}
 	}
 	// Narrowing: widening overshoots moving bounds (a counter capped by a
@@ -176,24 +239,183 @@ func Compute(fn *ir.Func, ch *chains.Chains, info *cfg.Info, mach ir.Machine, ma
 	// widenAfter passes). With the fixpoint converged, recomputing each
 	// transfer over the final operand ranges and intersecting recovers the
 	// precise interval; every stored range remains an over-approximation by
-	// induction, so this is sound.
-	for pass := 0; pass < 3; pass++ {
-		changed := false
-		fn.ForEachInstr(func(_ *ir.Block, ins *ir.Instr) {
+	// induction, so this is sound. The first pass visits every definition,
+	// later ones the dirty ones.
+	for pass := 0; pass < 3 && (pass == 0 || a.ndirty > 0); pass++ {
+		for _, id := range a.order {
+			n := &a.nodes[id]
+			if n.dirty {
+				n.dirty = false
+				a.ndirty--
+			} else if pass > 0 {
+				continue
+			}
+			nr := a.transfer(n.ins).Intersect(n.r)
+			a.Evals++
+			if !nr.IsBottom() && nr != n.r {
+				n.r = nr
+				a.touch(id)
+			}
+		}
+	}
+	a.off, a.deps = nil, nil
+	if observe != nil {
+		observe(a)
+	}
+	return a
+}
+
+// observe, when set, is shown every Analysis Compute returns; the tests use
+// it to check the sparse solve against the round-robin one.
+var observe func(*Analysis)
+
+// newAnalysis lays out the tables and computes, for every operand a
+// definition's transfer reads, whether an earlier definition in its block rules out branch
+// refinement and, if not, which condition sites apply.
+func newAnalysis(fn *ir.Func, ch *chains.Chains, info *cfg.Info, mach ir.Machine, maxLen int64) *Analysis {
+	a := &Analysis{fn: fn, ch: ch, info: info, mach: mach, maxLen: maxLen}
+	if a.maxLen == 0 {
+		a.maxLen = math.MaxInt32
+	}
+	a.nodes = make([]node, fn.NumInstrIDs())
+	ndefs := 0
+	for _, b := range fn.Blocks {
+		for _, ins := range b.Instrs {
+			n := node{ins: ins, r: Bottom(), nuse: int32(ins.NumUses()), def: ins.HasDst()}
+			if n.def {
+				n.nread = min(reads(ins), n.nuse)
+				ndefs++
+			}
+			a.nodes[ins.ID] = n
+		}
+	}
+	nslots := int32(0)
+	for id := range a.nodes {
+		a.nodes[id].use = nslots
+		nslots += a.nodes[id].nuse
+	}
+	a.slots = make([]slot, nslots)
+	for i := range a.slots {
+		a.slots[i].key = -1
+	}
+	a.order = make([]int32, 0, ndefs)
+	a.keys = make([]siteKey, 0, 4*len(fn.Blocks)) // typical: a few registers read per block
+	// Per register: the block (position+1) holding its last semantic
+	// definition seen so far, and the key of its sites in the current block.
+	type regState struct{ defBlk, keyBlk, key int32 }
+	regs := make([]regState, fn.NReg)
+	for k, b := range fn.Blocks {
+		bk := int32(k + 1)
+		for _, ins := range b.Instrs {
 			if !ins.HasDst() {
-				return
+				continue
 			}
-			nr := a.transfer(ins).Intersect(a.defs[ins])
-			if !nr.IsBottom() && nr != a.defs[ins] {
-				a.defs[ins] = nr
-				changed = true
+			a.order = append(a.order, int32(ins.ID))
+			n := &a.nodes[ins.ID]
+			for op := int32(0); op < n.nread; op++ {
+				s := &a.slots[n.use+op]
+				if info == nil {
+					continue
+				}
+				rs := &regs[ins.UseAt(int(op))]
+				if s.blocked = rs.defBlk == bk; s.blocked {
+					continue
+				}
+				if rs.keyBlk != bk {
+					rs.keyBlk, rs.key = bk, int32(len(a.keys))
+					lo := int32(len(a.sites))
+					a.sites = a.appendCondSites(a.sites, b, ins.UseAt(int(op)))
+					a.keys = append(a.keys, siteKey{blk: b, reg: ins.UseAt(int(op)), span: span{lo, int32(len(a.sites))}})
+				}
+				s.key = rs.key
 			}
-		})
-		if !changed {
-			break
+			if semanticDef(ins, ins.Dst) {
+				regs[ins.Dst].defBlk = bk
+			}
 		}
 	}
 	return a
+}
+
+// link builds the dependents table: definition d's dependents are the
+// definitions whose transfer can read d, through an operand's reaching
+// definitions or through the other operand of one of the operand's
+// condition sites.
+func (a *Analysis) link() {
+	a.off = make([]int32, len(a.nodes)+1)
+	mark := make([]int32, len(a.nodes)) // def -> dependent last recorded, +1
+	buf := make([]int32, 0, 64)
+	for _, x := range a.order {
+		buf = a.inputs(buf[:0], x)
+		for _, d := range buf {
+			if mark[d] != x+1 {
+				mark[d] = x + 1
+				a.off[d+1]++
+			}
+		}
+	}
+	for d := range a.nodes {
+		a.off[d+1] += a.off[d]
+	}
+	a.deps = make([]int32, a.off[len(a.nodes)])
+	fill := mark // reused: def -> next free position
+	copy(fill, a.off)
+	for _, x := range a.order {
+		buf = a.inputs(buf[:0], x)
+		for _, d := range buf {
+			// Positions of d's run fill in order, so the last one filled
+			// tells whether x is already recorded.
+			if f := fill[d]; f == a.off[d] || a.deps[f-1] != x {
+				a.deps[f] = x
+				fill[d]++
+			}
+		}
+	}
+}
+
+// inputs appends the IDs of the definitions x's transfer can read, with
+// repeats.
+func (a *Analysis) inputs(buf []int32, x int32) []int32 {
+	n := &a.nodes[x]
+	for op := int32(0); op < n.nread; op++ {
+		buf = a.appendDefs(buf, n.ins, int(op))
+		if s := a.slots[n.use+op]; s.key >= 0 {
+			k := a.keys[s.key]
+			for _, site := range a.sites[k.lo:k.hi] {
+				buf = a.appendDefs(buf, site.t, 1-site.side)
+			}
+		}
+	}
+	return buf
+}
+
+// appendDefs appends the IDs of the definitions reaching operand op of ins.
+func (a *Analysis) appendDefs(buf []int32, ins *ir.Instr, op int) []int32 {
+	for _, d := range a.ch.UD(ins, op) {
+		if n := a.nodeOf(d.Instr); n != nil && n.def {
+			buf = append(buf, int32(d.Instr.ID))
+		}
+	}
+	return buf
+}
+
+// touch marks the dependents of definition id dirty.
+func (a *Analysis) touch(id int32) {
+	for _, x := range a.deps[a.off[id]:a.off[id+1]] {
+		if n := &a.nodes[x]; !n.dirty {
+			n.dirty = true
+			a.ndirty++
+		}
+	}
+}
+
+// nodeOf returns Compute's record of ins, or nil if ins was not in the
+// function then.
+func (a *Analysis) nodeOf(ins *ir.Instr) *node {
+	if ins == nil || ins.ID < 0 || ins.ID >= len(a.nodes) || a.nodes[ins.ID].ins != ins {
+		return nil
+	}
+	return &a.nodes[ins.ID]
 }
 
 func (a *Analysis) fullFor(w ir.Width) Range {
@@ -212,20 +434,22 @@ func (a *Analysis) OfDef(d dataflow.DefSite) Range {
 		}
 		return a.fullFor(p.W)
 	}
-	if r, ok := a.defs[d.Instr]; ok {
-		return r
+	if n := a.nodeOf(d.Instr); n != nil && n.def {
+		// Bottom until the fixpoint first visits it: optimistic, so cyclic
+		// definitions (loop counters) converge to their least range
+		// instead of starting at top.
+		return n.r
 	}
-	// Not yet visited by the fixpoint: optimistic bottom, so cyclic
-	// definitions (loop counters) converge to their least range instead of
-	// starting at top.
 	return Bottom()
 }
 
 // OfDefRange returns the computed range of an instruction's destination and
 // whether one exists.
 func (a *Analysis) OfDefRange(ins *ir.Instr) (Range, bool) {
-	r, ok := a.defs[ins]
-	return r, ok
+	if n := a.nodeOf(ins); n != nil && n.def {
+		return n.r, true
+	}
+	return Range{}, false
 }
 
 // OfOperand returns the union of the ranges of every definition reaching the
@@ -267,35 +491,64 @@ type blockReg struct {
 //
 // Same-register 32-bit extensions and dummy markers preserve the semantic
 // value our ranges describe, so they do not count as definitions here.
+//
+// Which definitions block the operand, and which conditions apply to its
+// register at its block, are memoized when first asked (the function may
+// change while the analysis is alive); what a transfer read during Compute
+// counts as asked then.
 func (a *Analysis) OfOperandAt(ins *ir.Instr, op int) Range {
 	base := a.OfOperand(ins, op)
 	if a.info == nil || ins.Blk == nil {
 		return base
 	}
 	reg := ins.UseAt(op)
-	// Semantic definitions of reg earlier in the query block invalidate
-	// every dominating condition (memoized: block layout is stable while
-	// the analysis is alive).
-	if a.prefix == nil {
-		a.prefix = map[useKey]bool{}
+	var s *slot
+	if n := a.nodeOf(ins); n != nil && op >= 0 && op < int(n.nuse) {
+		s = &a.slots[n.use+int32(op)]
 	}
-	blocked, seen := a.prefix[useKey{ins, op}]
-	if !seen {
-		for _, x := range ins.Blk.Instrs {
-			if x == ins {
-				break
+	var blocked bool
+	switch {
+	case s != nil && s.known:
+		blocked = s.blocked
+	case s != nil:
+		blocked = prefixDefines(ins, reg)
+		s.known, s.blocked = true, blocked
+	default:
+		var seen bool
+		if blocked, seen = a.latePrefix[useKey{ins, op}]; !seen {
+			blocked = prefixDefines(ins, reg)
+			if a.latePrefix == nil {
+				a.latePrefix = map[useKey]bool{}
 			}
-			if semanticDef(x, reg) {
-				blocked = true
-				break
-			}
+			a.latePrefix[useKey{ins, op}] = blocked
 		}
-		a.prefix[useKey{ins, op}] = blocked
 	}
 	if blocked {
 		return base
 	}
-	for _, site := range a.condSites(ins.Blk, reg) {
+	return a.refine(base, a.condSites(ins.Blk, reg))
+}
+
+// operand is OfOperandAt for a transfer during Compute, reading the facts
+// newAnalysis laid out.
+func (a *Analysis) operand(ins *ir.Instr, op int) Range {
+	base := a.OfOperand(ins, op)
+	if a.info == nil || ins.Blk == nil {
+		return base
+	}
+	s := &a.slots[a.nodes[ins.ID].use+int32(op)]
+	s.known = true
+	if s.blocked {
+		return base
+	}
+	k := &a.keys[s.key]
+	k.pub = true
+	return a.refine(base, a.sites[k.lo:k.hi])
+}
+
+// refine intersects base with every condition site's constraint.
+func (a *Analysis) refine(base Range, sites []condSite) Range {
+	for _, site := range sites {
 		cond := site.t.Cond
 		if site.negated {
 			cond = cond.Negate()
@@ -304,6 +557,20 @@ func (a *Analysis) OfOperandAt(ins *ir.Instr, op int) Range {
 		base = refineByCond(base, cond, site.side == 1, other, site.t.W)
 	}
 	return base
+}
+
+// prefixDefines reports whether a semantic definition of reg precedes ins in
+// its block, which invalidates every dominating condition.
+func prefixDefines(ins *ir.Instr, reg ir.Reg) bool {
+	for _, x := range ins.Blk.Instrs {
+		if x == ins {
+			return false
+		}
+		if semanticDef(x, reg) {
+			return true
+		}
+	}
+	return false
 }
 
 // semanticDef reports whether ins changes the semantic (low-32-bit signed)
@@ -323,20 +590,33 @@ func semanticDef(ins *ir.Instr, reg ir.Reg) bool {
 	return true
 }
 
-// condSites computes (and caches — the structure is invariant during a
-// fixpoint) the dominating branch conditions applicable to reg at block B.
+// condSites returns the dominating branch conditions applicable to reg at
+// block b, memoized on first query along with those a transfer read during
+// Compute.
 func (a *Analysis) condSites(b *ir.Block, reg ir.Reg) []condSite {
-	if a.sites == nil {
-		a.sites = map[blockReg][]condSite{}
+	if a.memo == nil {
+		a.memo = map[blockReg]span{}
+		for _, k := range a.keys {
+			if k.pub {
+				a.memo[blockReg{k.blk, k.reg}] = k.span
+			}
+		}
 	}
 	key := blockReg{b, reg}
-	if s, ok := a.sites[key]; ok {
-		return s
+	sp, ok := a.memo[key]
+	if !ok {
+		sp.lo = int32(len(a.sites))
+		a.sites = a.appendCondSites(a.sites, b, reg)
+		sp.hi = int32(len(a.sites))
+		a.memo[key] = sp
 	}
-	var out []condSite
-	seen := map[*ir.Block]bool{}
-	for d := b; d != nil && !seen[d]; d = a.info.IDom[d] {
-		seen[d] = true
+	return a.sites[sp.lo:sp.hi]
+}
+
+// appendCondSites appends the dominating branch conditions applicable to reg
+// at block b, walking the dominator tree from b up to the entry.
+func (a *Analysis) appendCondSites(out []condSite, b *ir.Block, reg ir.Reg) []condSite {
+	for d, prev := b, (*ir.Block)(nil); d != nil && d != prev; prev, d = d, a.info.IdomOf(d) {
 		t := d.Term()
 		if t == nil || t.Op != ir.OpBr || len(d.Succs) != 2 || d.Succs[0] == d.Succs[1] {
 			continue
@@ -368,7 +648,6 @@ func (a *Analysis) condSites(b *ir.Block, reg ir.Reg) []condSite {
 			}
 		}
 	}
-	a.sites[key] = out
 	return out
 }
 
@@ -381,30 +660,42 @@ func (a *Analysis) regReachesWithoutD(b, d *ir.Block, reg ir.Reg) bool {
 	// blocks containing semantic defs of reg. b itself is scanned in full if
 	// a cycle re-reaches it: a definition anywhere in b then lies between d
 	// and the query on some d-free path.
-	seen := map[*ir.Block]bool{}
-	stack := []*ir.Block{}
-	for _, p := range b.Preds {
-		if p != d && !seen[p] {
-			seen[p] = true
-			stack = append(stack, p)
-		}
+	if a.epoch++; a.epoch == 0 {
+		clear(a.stamp)
+		a.epoch = 1
 	}
+	stack := a.pushPreds(a.blocks[:0], b, d)
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, insX := range x.Instrs {
 			if semanticDef(insX, reg) {
+				a.blocks = stack
 				return true
 			}
 		}
-		for _, p := range x.Preds {
-			if p != d && !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
-			}
+		stack = a.pushPreds(stack, x, d)
+	}
+	a.blocks = stack
+	return false
+}
+
+// pushPreds appends the predecessors of x other than d that this walk has not
+// reached yet.
+func (a *Analysis) pushPreds(stack []*ir.Block, x, d *ir.Block) []*ir.Block {
+	for _, p := range x.Preds {
+		if p == d {
+			continue
+		}
+		if p.ID >= len(a.stamp) {
+			a.stamp = append(a.stamp, make([]uint32, max(p.ID+1, a.fn.NumBlockIDs())-len(a.stamp))...)
+		}
+		if a.stamp[p.ID] != a.epoch {
+			a.stamp[p.ID] = a.epoch
+			stack = append(stack, p)
 		}
 	}
-	return false
+	return stack
 }
 
 // refineByCond intersects base with the constraint "x cond other" (or
@@ -480,10 +771,28 @@ func (a *Analysis) ConstOperand(ins *ir.Instr, op int) (int64, bool) {
 	return 0, false
 }
 
+// reads returns how many leading operands transfer reads for ins: the
+// operands whose ranges, and whose condition sites' ranges, the definition's
+// range depends on. It must cover every src(k) of transfer.
+func reads(ins *ir.Instr) int32 {
+	switch ins.Op {
+	case ir.OpMov, ir.OpExt, ir.OpExtDummy, ir.OpNeg, ir.OpNot:
+		return 1
+	case ir.OpZext:
+		if ins.W == ir.W64 {
+			return 1
+		}
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
+		ir.OpShl, ir.OpLShr, ir.OpAShr, ir.OpDiv, ir.OpRem:
+		return 2
+	}
+	return 0
+}
+
 func (a *Analysis) transfer(ins *ir.Instr) Range {
 	w := ins.W
 	full := a.fullFor(w)
-	src := func(k int) Range { return a.OfOperandAt(ins, k).Intersect(Full64()) }
+	src := func(k int) Range { return a.operand(ins, k).Intersect(Full64()) }
 	switch ins.Op {
 	case ir.OpConst:
 		return Const(ins.Const)

@@ -9,6 +9,7 @@ import (
 	"signext/internal/interp"
 	"signext/internal/ir"
 	"signext/internal/minijava"
+	"signext/internal/peep"
 	. "signext/internal/vrange"
 )
 
@@ -229,3 +230,69 @@ func TestRuntimeSoundness(t *testing.T) {
 
 // TestRefineByCond covers the constraint derivations, including the unsigned
 // bounds-check form.
+
+// TestOperandFactsFixedAtCompute: what an operand query learns from the
+// block and the dominating branches is fixed when first asked, and Compute's
+// transfers count as asking, so a later edit to the block (as peep makes
+// mid-round) does not change the answer for an operand Compute read.
+func TestOperandFactsFixedAtCompute(t *testing.T) {
+	fn, vr := analyzeSrc(t, `
+		void main() {
+			int n = 100;
+			int s = 0;
+			for (int i = 0; i < n; i++) { s = s + i; }
+			print(s);
+		}`)
+	var inc *ir.Instr
+	fn.ForEachInstr(func(_ *ir.Block, ins *ir.Instr) {
+		if ins.Op == ir.OpAdd && ins.Dst == ins.Srcs[0] && inc == nil {
+			if c, ok := vr.ConstOperand(ins, 1); ok && c == 1 {
+				inc = ins
+			}
+		}
+	})
+	if inc == nil {
+		t.Fatal("no increment found")
+	}
+	// Redefine the counter ahead of the increment: asked afresh, the
+	// dominating i < n would no longer apply.
+	redef := fn.NewInstr(ir.OpConst)
+	redef.W, redef.Dst, redef.Const = ir.W32, inc.Srcs[0], 500
+	inc.Blk.InsertBefore(inc, redef)
+	if r := vr.OfOperandAt(inc, 0); !r.Within(0, 99) {
+		t.Fatalf("counter operand after the edit = %v, want the [0,99] Compute saw", r)
+	}
+}
+
+// TestOperandAtWithoutDefinitions: operand queries on instructions without a
+// destination (here a branch) work when no definition in the function reads
+// a register, so Compute laid out no condition sites at all; peep's br-fold
+// makes exactly that query.
+func TestOperandAtWithoutDefinitions(t *testing.T) {
+	const src = `
+func f(r0 i32, r1 i32) {
+b0:
+	br.32.lt r0 r1 -> b1, b2
+b1:
+	ret
+b2:
+	ret
+}
+`
+	prog, err := ir.ParseProgram(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := prog.Func("f")
+	info := cfg.Compute(fn)
+	a := Compute(fn, chains.Build(fn, info), info, ir.IA64, 0)
+	br := findOp(fn, ir.OpBr)
+	for op := 0; op < 2; op++ {
+		if r := a.OfOperandAt(br, op); r != Full32() {
+			t.Errorf("parameter operand %d = %v, want %v", op, r, Full32())
+		}
+	}
+	if st := peep.Run(prog.Clone().Func("f"), peep.Config{Machine: ir.IA64}); st.Rewrites != 0 {
+		t.Errorf("peep rewrote an undecided branch: %+v", st.ByRule)
+	}
+}
