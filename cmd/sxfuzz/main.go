@@ -7,12 +7,9 @@
 //	sxfuzz -seed 1 -count 2000                  # fixed-size campaign
 //	sxfuzz -seed 7 -duration 60s -minimize      # timed, write reproducers
 //	sxfuzz -seed 1 -count 200 -chaos            # fault-injection self-check
-//	sxfuzz -seed 1 -count 500 -cache            # add the cache-identity property
-//	sxfuzz -seed 1 -count 500 -tiered           # add the profile-identity property
-//	sxfuzz -seed 1 -count 200 -serve            # add the serve-identity property
-//	sxfuzz -seed 1 -count 500 -dispatch         # force dispatch-identity on every program
-//	sxfuzz -seed 1 -count 500 -peep             # add the peep-identity property
-//	sxfuzz -seed 1 -count 100 -peep -corpus internal/difftest/testdata/peep  # seed with the directed rule corpus
+//	sxfuzz -list                                # print the opt-in property names
+//	sxfuzz -seed 1 -count 500 -props NAME,...   # add opt-in properties named by -list
+//	sxfuzz -seed 1 -count 100 -corpus internal/difftest/testdata/peep  # seed with the directed rule corpus
 package main
 
 import (
@@ -21,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"signext/internal/difftest"
 	"signext/internal/progen"
@@ -45,11 +44,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		repros   = fs.Int("repros", 0, "max reproducers to write (0 = default 3)")
 		out      = fs.String("out", "", "reproducer output directory (default internal/difftest/testdata)")
 		chaos    = fs.Bool("chaos", false, "fault-injection self-check: plant DropExt miscompiles, require the oracle to catch them")
-		cache    = fs.Bool("cache", false, "add the cache-identity property to the metamorphic set (warm compile-cache hits must be bit-identical to cold compiles)")
-		tiered   = fs.Bool("tiered", false, "add the profile-identity property to the metamorphic set (tiered execution must be bit-identical to one-shot compilation fed the gathered profile)")
-		srv      = fs.Bool("serve", false, "add the serve-identity property to the metamorphic set (compile-daemon answers must match direct compiles, healthy and degraded)")
-		dispatch = fs.Bool("dispatch", false, "check dispatch identity (threaded bytecode vs reference walker) on every program, not just the metamorphic sample")
-		peep     = fs.Bool("peep", false, "add the peep-identity property to every program (rule-table peephole builds must match the reference output under both dispatchers)")
+		props    = fs.String("props", "", "comma-separated opt-in properties to add (see -list)")
+		list     = fs.Bool("list", false, "print the opt-in property names, one a line, and exit")
 		corpus   = fs.String("corpus", "", "replay every .ir entry in this directory (directed corpus) before the generated programs")
 		verbose  = fs.Bool("v", false, "log campaign progress to stderr")
 	)
@@ -73,11 +69,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		OutDir:      *out,
 		Corpus:      *corpus,
 	}
-	cfg.Check.Cache = *cache
-	cfg.Check.Tiered = *tiered
-	cfg.Check.Serve = *srv
-	cfg.Check.Dispatch = *dispatch
-	cfg.Check.Peep = *peep
+	if *list {
+		fmt.Fprintln(stdout, strings.Join(difftest.OptIns(), "\n"))
+		return 0
+	}
+	if *props != "" {
+		cfg.Check.Props = strings.Split(*props, ",")
+	}
+	for _, name := range cfg.Check.Props {
+		if !slices.Contains(difftest.OptIns(), name) {
+			fmt.Fprintf(stderr, "sxfuzz: -props: %q is not an opt-in property (see -list)\n", name)
+			return 2
+		}
+	}
 	switch *kind {
 	case "":
 	case "mj", "ir":

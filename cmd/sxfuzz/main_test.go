@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,5 +56,29 @@ func TestRunBadUsage(t *testing.T) {
 	}
 	if code := run([]string{"stray"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("stray arg: exit %d", code)
+	}
+	for _, props := range []string{"nope", "oracle"} {
+		if code := run([]string{"-props", props}, &stdout, &stderr); code != 2 {
+			t.Fatalf("-props %s (not an opt-in): exit %d", props, code)
+		}
+	}
+}
+
+// TestRunList: -list prints the opt-in property names one a line, -props
+// accepts all of them at once, and an empty -props adds none.
+func TestRunList(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-list: exit %d, stderr:\n%s", code, stderr.String())
+	}
+	names := strings.Fields(stdout.String())
+	if len(names) == 0 || !reflect.DeepEqual(names, difftest.OptIns()) {
+		t.Fatalf("-list printed %q, want %q", names, difftest.OptIns())
+	}
+	for _, props := range []string{"", strings.Join(names, ",")} {
+		stdout.Reset()
+		if code := run([]string{"-seed", "1", "-count", "2", "-props", props}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-props %q: exit %d, stderr:\n%s", props, code, stderr.String())
+		}
 	}
 }

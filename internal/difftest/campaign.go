@@ -212,8 +212,9 @@ feed:
 
 // replayCorpus runs every directed corpus entry under Corpus through the
 // property its "; prop:" header names (plus the campaign's configured set),
-// focused on the "; rule:" it targets when one is named. Entries count as
-// programs; a failing entry fails the campaign like any generated program.
+// focused on the "; rule:" it targets when one is named (see configFor).
+// Entries count as programs; a failing entry fails the campaign like any
+// generated program.
 func replayCorpus(cfg CampaignConfig, res *CampaignResult) error {
 	paths, err := filepath.Glob(filepath.Join(cfg.Corpus, "*.ir"))
 	if err != nil {
@@ -229,22 +230,8 @@ func replayCorpus(cfg CampaignConfig, res *CampaignResult) error {
 		if err != nil {
 			return fmt.Errorf("corpus %s: %w", path, err)
 		}
-		c := cfg.Check
-		switch r.Prop {
-		case "peep-identity":
-			c.Peep = true
-			if r.Rule != "" {
-				c.PeepRules = []string{r.Rule}
-			}
-		case "cache-identity":
-			c.Cache = true
-		case "profile-identity":
-			c.Tiered = true
-		case "dispatch-identity":
-			c.Dispatch = true
-		}
 		res.Programs++
-		fails, skipped := Check(&Program{Kind: r.Kind, Seed: r.Seed, Prog: r.Prog}, c)
+		fails, skipped := Check(&Program{Kind: r.Kind, Seed: r.Seed, Prog: r.Prog}, configFor(cfg.Check, r.Prop, r.Rule))
 		if skipped {
 			res.Skipped++
 		}
@@ -276,11 +263,13 @@ func minimizeFindings(cfg CampaignConfig, findings []finding, res *CampaignResul
 		if f.chaosSeed == 0 && seenProp[f.prop] >= 2 {
 			continue
 		}
-		var pred Predicate
+		pred := propPredicate(f.prop, f.machine, cfg.Check)
 		if f.chaosSeed != 0 {
-			pred = chaosPredicate(f.chaosSeed, cfg.Check)
-		} else {
-			pred = propPredicate(f.prop, f.machine, cfg.Check)
+			// Replaying the injector's RNG on a shrunk candidate would pick a
+			// different extension, so a chaos finding shrinks under the
+			// deterministic generalization ChaosCaught; the seed stays in
+			// the reproducer header for provenance only.
+			pred = func(cand *ir.Program) bool { return ChaosCaught(cand, f.machine, shrinkMaxSteps) }
 		}
 		if !pred(f.prog.Prog) {
 			continue // not reproducible under the shrink budget; keep the seed in the log
@@ -344,20 +333,6 @@ func chaosCheck(p *Program, chaosSeed int64, c Config) (planted, caught bool, de
 	return true, false, ""
 }
 
-// chaosPredicate is the shrinking form of the planted-fault scenario. The
-// campaign plants with the seeded injector, but replaying the same RNG on a
-// shrunk candidate would pick a different extension, so the predicate uses
-// the deterministic generalization ChaosCaught: the reproducer keeps the
-// property "this program has a load-bearing extension the oracle can see".
-func chaosPredicate(chaosSeed int64, c Config) Predicate {
-	_ = chaosSeed // kept in the reproducer header for provenance only
-	c = c.withDefaults()
-	mach := c.Machines[0]
-	return func(cand *ir.Program) bool {
-		return ChaosCaught(cand, mach, shrinkMaxSteps)
-	}
-}
-
 // ChaosCaught compiles prog through the full pipeline and then deletes each
 // remaining same-register extension from the optimized build, one at a time
 // in program order, asking the oracle about each mutant. It reports whether
@@ -403,37 +378,14 @@ func dropExtAt(prog *ir.Program, k int) bool {
 	return false
 }
 
-// propPredicate replays the full property check on a candidate and requires
-// a failure of the same property. Oracle-class properties shrink in
-// oracle-only mode; metamorphic ones need the heavy set.
+// propPredicate replays the property check on a candidate, on the finding's
+// machine, and requires a failure of the same property. configFor adds what
+// the property needs; everything else runs in oracle-only mode.
 func propPredicate(prop string, mach ir.Machine, c Config) Predicate {
-	c = c.withDefaults()
-	c.MaxSteps = shrinkMaxSteps
 	c.Machines = []ir.Machine{mach}
-	switch prop {
-	case "parallel-identity", "budget", "fixpoint":
-		c.OracleOnly = false
-	case "cache-identity":
-		c.OracleOnly = false
-		c.Cache = true
-	case "profile-identity":
-		c.OracleOnly = false
-		c.Tiered = true
-	case "dispatch-identity":
-		// The property itself is cheap; shrink in oracle-only mode with the
-		// explicit opt-in so replay skips the unrelated heavy properties.
-		c.OracleOnly = true
-		c.Dispatch = true
-	case "peep-identity":
-		// Same shape as dispatch-identity: cheap opt-in, oracle-only replay.
-		c.OracleOnly = true
-		c.Peep = true
-	default:
-		c.OracleOnly = true
-	}
-	if prop == "cross-machine" {
-		c.Machines = []ir.Machine{ir.IA64, ir.PPC64}
-	}
+	c.OracleOnly = true
+	c = configFor(c, prop, "").withDefaults()
+	c.MaxSteps = shrinkMaxSteps
 	return func(cand *ir.Program) bool {
 		fails, skipped := Check(&Program{Kind: "ir", Prog: cand}, c)
 		if skipped {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"signext/internal/ir"
@@ -25,8 +27,9 @@ func TestCheckGeneratedPrograms(t *testing.T) {
 			if seed%3 != 0 {
 				cfg.OracleOnly = true // full metamorphic set on every third seed
 			} else {
-				cfg.Cache = true  // heavy seeds also check cache identity...
-				cfg.Tiered = true // ...and profile identity under the tiered runtime
+				// Heavy seeds also check cache identity and profile identity
+				// under the tiered runtime.
+				cfg.Props = []string{"cache-identity", "profile-identity"}
 			}
 			fails, skipped := Check(p, cfg)
 			if skipped {
@@ -54,7 +57,7 @@ func TestChaosFaultCaught(t *testing.T) {
 		if !planted || !caught {
 			continue
 		}
-		pred := chaosPredicate(seed, Config{})
+		pred := func(cand *ir.Program) bool { return ChaosCaught(cand, ir.IA64, shrinkMaxSteps) }
 		if !pred(p.Prog) {
 			t.Fatalf("seed %d: chaos predicate does not hold on the original program", seed)
 		}
@@ -85,7 +88,7 @@ func TestProfileIdentityProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate(%d, %q): %v", seed, kind, err)
 			}
-			fails, skipped := Check(p, Config{Tiered: true})
+			fails, skipped := Check(p, Config{Props: []string{"profile-identity"}})
 			if skipped {
 				continue
 			}
@@ -214,5 +217,45 @@ func TestCampaignChaosMinimize(t *testing.T) {
 	}
 	if filepath.Dir(res.Repros[0]) != dir {
 		t.Fatalf("reproducer written outside OutDir: %s", res.Repros[0])
+	}
+}
+
+// TestPropertyRouting swaps a failing check into each table entry in turn:
+// the shrink predicate for that property, the corpus replay of an entry
+// naming it and the reproducer replay must all run the entry, whatever its
+// gates — a property the router drops can never be minimized or replayed.
+func TestPropertyRouting(t *testing.T) {
+	p, err := Generate(1, "ir", progen.Config{Stmts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range properties {
+		prop := &properties[i]
+		t.Run(prop.name, func(t *testing.T) {
+			saved := prop.check
+			defer func() { prop.check = saved }()
+			prop.check = func(s *subject) { s.fail("planted") }
+
+			if !propPredicate(prop.name, ir.IA64, Config{})(p.Prog) {
+				t.Error("shrink predicate does not run the property")
+			}
+
+			dir := t.TempDir()
+			if _, err := saveRepro(dir, &Repro{Seed: 1, Kind: "ir", Prop: prop.name, Prog: p.Prog}); err != nil {
+				t.Fatal(err)
+			}
+			res := &CampaignResult{}
+			if err := replayCorpus(CampaignConfig{Corpus: dir, Check: Config{OracleOnly: true}}, res); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(res.FailureDetails, func(d string) bool { return strings.Contains(d, "["+prop.name+"/") }) {
+				t.Errorf("corpus replay does not run the property: %v", res.FailureDetails)
+			}
+
+			fails, _ := Check(p, configFor(Config{Machines: []ir.Machine{ir.IA64}}, prop.name, ""))
+			if !slices.ContainsFunc(fails, func(f Failure) bool { return f.Prop == prop.name }) {
+				t.Error("reproducer replay does not run the property")
+			}
+		})
 	}
 }

@@ -40,9 +40,8 @@ func TestPeepCorpus(t *testing.T) {
 			if peep.FindRule(r.Rule) == nil {
 				t.Fatalf("corpus entry targets unknown rule %q", r.Rule)
 			}
-			fails, skipped := Check(&Program{Kind: r.Kind, Seed: r.Seed, Prog: r.Prog}, Config{
-				OracleOnly: true, Peep: true, PeepRules: []string{r.Rule},
-			})
+			fails, skipped := Check(&Program{Kind: r.Kind, Seed: r.Seed, Prog: r.Prog},
+				configFor(Config{OracleOnly: true}, r.Prop, r.Rule))
 			if skipped {
 				t.Fatal("corpus entry was skipped; directed entries must always run")
 			}

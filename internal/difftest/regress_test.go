@@ -8,14 +8,13 @@ import (
 	"signext/internal/ir"
 )
 
-func machinesFor(r *Repro) []ir.Machine { return []ir.Machine{r.Machine} }
-
 // TestReproducers replays every minimized reproducer under testdata/ as a
 // permanent regression test. Chaos reproducers assert two things: the clean
 // pipeline still passes the oracle on the program (no false positive), and
 // deleting a load-bearing extension from the optimized build is still a
 // caught miscompile (the oracle has not gone blind). Property reproducers
-// assert the recorded property now holds — a failure means the original bug
+// assert the recorded property now holds, replayed with that property and
+// the header's rule enabled (configFor) — a failure means the original bug
 // regressed.
 func TestReproducers(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.ir"))
@@ -62,7 +61,7 @@ func TestReproducers(t *testing.T) {
 			}
 			// A property reproducer records a fixed pipeline bug; the
 			// property must hold now and forever.
-			fails, skipped = Check(p, Config{Machines: machinesFor(r), OracleOnly: false})
+			fails, skipped = Check(p, configFor(Config{Machines: []ir.Machine{r.Machine}}, r.Prop, r.Rule))
 			if skipped {
 				t.Fatal("reproducer hit the step limit")
 			}

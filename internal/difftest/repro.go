@@ -16,9 +16,9 @@ import (
 type Repro struct {
 	Seed    int64  // generator seed that produced the original program
 	Kind    string // generator kind: "mj" or "ir"
-	Prop    string // failed property ("oracle", "fixpoint", ...; "chaos" = planted fault)
+	Prop    string // failed property's table name, or "chaos-dropext" for a planted fault
 	Machine ir.Machine
-	Chaos   int64  // fault-injector seed for prop "chaos"; 0 otherwise
+	Chaos   int64  // fault-injector seed for a planted fault; 0 otherwise
 	Rule    string // peephole rule a directed corpus entry targets; "" otherwise
 	Detail  string // one-line description of the original failure
 	Prog    *ir.Program

@@ -8,8 +8,6 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"signext/internal/guard"
-	"signext/internal/ir"
 	"signext/internal/jit"
 	"signext/internal/serve"
 )
@@ -20,11 +18,12 @@ import (
 // statistics, same output, same trap — and a request forced onto the
 // degraded floor by a hostile deadline must still reproduce the reference
 // output. It returns "" when the property holds, a diagnostic otherwise.
-func serveDetail(p *Program, mach ir.Machine, res *jit.Result, rep *guard.Report, cfg Config) string {
+func serveDetail(s *subject) string {
+	p, mach, res, rep := s.p, s.mach, s.res, s.rep
 	req := serve.CompileRequest{
 		Machine:  mach.String(),
 		Run:      true,
-		MaxSteps: cfg.MaxSteps,
+		MaxSteps: s.cfg.MaxSteps,
 	}
 	if p.Kind == "mj" {
 		req.Source = p.Source
@@ -56,9 +55,6 @@ func serveDetail(p *Program, mach ir.Machine, res *jit.Result, rep *guard.Report
 	// Degraded request: a 1 ms deadline under a much longer injected stall
 	// floors every function — and the floored answer must still match the
 	// reference run. Degraded, never wrong, via the same HTTP surface.
-	// The stall is generous because a context deadline only takes effect
-	// once its timer goroutine runs; on a loaded single-CPU box that can
-	// lag the nominal deadline by milliseconds.
 	dsrv, err := serve.New(serve.Config{
 		Variant: jit.All, Machine: mach, CacheBytes: -1,
 		FaultDelay: func() time.Duration { return 20 * time.Millisecond },

@@ -17,7 +17,7 @@ func TestServeIdentityOnGeneratedPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fails, skipped := Check(p, Config{Serve: true, OracleOnly: false})
+			fails, skipped := Check(p, Config{Props: []string{"serve-identity"}})
 			if skipped {
 				continue
 			}
@@ -45,7 +45,7 @@ void main() {
 		t.Fatal(err)
 	}
 	p := &Program{Seed: 0, Kind: "mj", Source: src, Prog: cu.Prog}
-	fails, skipped := Check(p, Config{Serve: true})
+	fails, skipped := Check(p, Config{Props: []string{"serve-identity"}})
 	if skipped {
 		t.Fatal("depth-trapping program skipped")
 	}

@@ -3,6 +3,7 @@ package jit
 import (
 	"context"
 	"testing"
+	"time"
 
 	"signext/internal/codecache"
 	"signext/internal/interp"
@@ -112,9 +113,11 @@ func TestDeadlineFloorBypassesCache(t *testing.T) {
 // compile fully optimized with nothing degraded.
 func TestNoDeadlineUnaffected(t *testing.T) {
 	cu := compileSrc(t)
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	for _, o := range []Options{
 		{Variant: All, GeneralOpts: true},
+		{Variant: All, GeneralOpts: true, Ctx: context.Background()},
 		{Variant: All, GeneralOpts: true, Ctx: ctx},
 	} {
 		res, err := Compile(cu.Prog, o)
@@ -127,5 +130,32 @@ func TestNoDeadlineUnaffected(t *testing.T) {
 		if res.Stats.Eliminated == 0 {
 			t.Fatal("elimination did not run")
 		}
+	}
+}
+
+// lateTimerCtx is a context whose deadline has passed while Err is still
+// nil: the window before a timer-backed context's timer goroutine runs.
+type lateTimerCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateTimerCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// TestDeadlinePassedBeforeErr: a deadline in the past floors the compile even
+// while the context's Err is still nil, so a hostile deadline degrades
+// deterministically however late the timer fires.
+func TestDeadlinePassedBeforeErr(t *testing.T) {
+	cu := compileSrc(t)
+	ctx := lateTimerCtx{context.Background(), time.Now().Add(-time.Millisecond)}
+	if ctx.Err() != nil {
+		t.Fatal("test context must report a nil Err")
+	}
+	res, err := Compile(cu.Prog, Options{Variant: All, GeneralOpts: true, Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Degraded) != len(cu.Prog.Funcs) {
+		t.Fatalf("Degraded = %v, want all %d functions", res.Degraded, len(cu.Prog.Funcs))
 	}
 }

@@ -174,9 +174,19 @@ type Options struct {
 	Ctx context.Context
 }
 
-// ctxDone reports whether the compile's context (if any) has expired.
+// ctxDone reports whether the compile's context (if any) has expired. A
+// deadline that has passed counts even before Err reports it: a timer-backed
+// context sets Err only once its timer goroutine runs, which on a loaded
+// machine can lag the deadline by milliseconds.
 func (o Options) ctxDone() bool {
-	return o.Ctx != nil && o.Ctx.Err() != nil
+	if o.Ctx == nil {
+		return false
+	}
+	if o.Ctx.Err() != nil {
+		return true
+	}
+	d, ok := o.Ctx.Deadline()
+	return ok && !time.Now().Before(d)
 }
 
 // parallelism resolves the worker count for a program with n functions.
