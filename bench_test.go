@@ -8,6 +8,7 @@
 //	BenchmarkFigure11/12 — percentage series behind the figures
 //	BenchmarkFigure13/14 — cycle-model performance improvement
 //	BenchmarkAblation*   — design-choice ablations called out in DESIGN.md
+//	BenchmarkTieredVsOneShot — tiered runtime against the one-shot op, wall time
 //
 // Run with: go test -bench=. -benchmem
 package signext_test
@@ -19,6 +20,8 @@ import (
 	"signext/internal/bench"
 	"signext/internal/ir"
 	"signext/internal/jit"
+	"signext/internal/minijava"
+	"signext/internal/tiered"
 	"signext/internal/workloads"
 )
 
@@ -210,4 +213,92 @@ func BenchmarkAblationGeneration(b *testing.B) {
 	})
 	b.ReportMetric(res.AvgPct(jit.GenUse), "gen_use_avg%")
 	b.ReportMetric(res.AvgPct(jit.All), "gen_def_plus_elim_avg%")
+}
+
+// tierInvocations is how many times each kernel's main runs in
+// BenchmarkTieredVsOneShot.
+const tierInvocations = 3
+
+// BenchmarkTieredVsOneShot times each of the 17 kernels two ways, in wall
+// time only, and fails if any output differs from the one-shot reference:
+//
+//	one-shot: frontend, jit.ProfileRun, jit.Compile, then jit.Execute 3×
+//	tiered:   frontend, tiered.New, then Invoke 3× (promotion compiles
+//	          included)
+//
+// Both compile with the options of sxbench's paper-suite workload. Compare
+// the two sub-benchmarks of one kernel: their ratio is the measured tiering
+// speedup (below 1 means tiering is slower).
+func BenchmarkTieredVsOneShot(b *testing.B) {
+	opts := jit.Options{Variant: jit.All, Machine: ir.IA64, GeneralOpts: true}
+	for _, w := range workloads.All() {
+		oneShot := func() ([]string, error) {
+			cu, err := minijava.Compile(w.Source)
+			if err != nil {
+				return nil, err
+			}
+			o := opts
+			if o.Profile, err = jit.ProfileRun(cu.Prog, "main", 0); err != nil {
+				return nil, err
+			}
+			res, err := jit.Compile(cu.Prog, o)
+			if err != nil {
+				return nil, err
+			}
+			var outs []string
+			for i := 0; i < tierInvocations; i++ {
+				run, err := jit.Execute(res, "main")
+				if err != nil {
+					return nil, err
+				}
+				outs = append(outs, run.Output)
+			}
+			return outs, nil
+		}
+		tier := func() ([]string, error) {
+			cu, err := minijava.Compile(w.Source)
+			if err != nil {
+				return nil, err
+			}
+			m, err := tiered.New(cu.Prog, tiered.Config{Options: opts})
+			if err != nil {
+				return nil, err
+			}
+			var outs []string
+			for i := 0; i < tierInvocations; i++ {
+				run, err := m.Invoke()
+				if err != nil {
+					return nil, err
+				}
+				outs = append(outs, run.Output)
+			}
+			return outs, nil
+		}
+		var ref []string // computed once, by the first selected sub-benchmark
+		for _, mode := range []struct {
+			name string
+			run  func() ([]string, error)
+		}{{"one-shot", oneShot}, {"tiered", tier}} {
+			b.Run(w.Name+"/"+mode.name, func(b *testing.B) {
+				if ref == nil {
+					var err error
+					if ref, err = oneShot(); err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					outs, err := mode.run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					for k, out := range outs {
+						if out != ref[0] {
+							b.Fatalf("invocation %d output differs from the one-shot reference", k+1)
+						}
+					}
+				}
+			})
+		}
+	}
 }

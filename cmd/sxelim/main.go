@@ -239,8 +239,7 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "sxelim: fallback: %s disabled for %s: %s\n", fb.Phase, fb.Func, fb.Reason)
 		}
 		tel := tr.Telemetry
-		fmt.Fprintf(stdout, "tiered: %d invocations, %d promotions, steady-state speedup %.2fx\n",
-			tel.Invocations, tel.TierUps, tel.SteadySpeedup())
+		fmt.Fprintf(stdout, "tiered: %d invocations, %d promotions\n", tel.Invocations, tel.TierUps)
 		for _, p := range tr.Promotions {
 			fmt.Fprintf(stdout, "tiered: promoted %s (invocation %d, weight %d)\n", p.Func, p.Invocation, p.Weight)
 		}

@@ -99,10 +99,9 @@ func TestExitCodes(t *testing.T) {
 }
 
 func TestGoldenTiered(t *testing.T) {
-	// Tiered runtime over the fixture: promotion order, weights, the
-	// modelled steady-state speedup and the identity line are all
-	// deterministic (weights and cycles come from the interpreter, the
-	// speedup from the penalty cost model — no wall clock reaches stdout).
+	// Tiered runtime over the fixture: promotion order, weights and the
+	// identity line are all deterministic (weights and cycles come from the
+	// interpreter; no wall clock reaches stdout).
 	runGolden(t, "narrow_tiered.golden", "-tiered", "-hot-threshold", "50", "-invocations", "4", "-parallel", "1", "testdata/narrow.mj")
 }
 

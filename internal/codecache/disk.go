@@ -28,12 +28,12 @@ type Codec interface {
 
 // DiskStats counts what a DiskStore did over its lifetime.
 type DiskStats struct {
-	Loads       uint64 `json:"loads"`        // entries served from disk
-	LoadMisses  uint64 `json:"load_misses"`  // keys with no on-disk entry
-	Stores      uint64 `json:"stores"`       // entries written
-	Quarantined uint64 `json:"quarantined"`  // corrupt entries moved aside
-	Errors      uint64 `json:"errors"`       // I/O failures (degraded to miss/no-op)
-	Skipped     uint64 `json:"skipped"`      // payloads the codec declined to persist
+	Loads       uint64 `json:"loads"`       // entries served from disk
+	LoadMisses  uint64 `json:"load_misses"` // keys with no on-disk entry
+	Stores      uint64 `json:"stores"`      // entries written
+	Quarantined uint64 `json:"quarantined"` // corrupt entries moved aside
+	Errors      uint64 `json:"errors"`      // I/O failures (degraded to miss/no-op)
+	Skipped     uint64 `json:"skipped"`     // payloads the codec declined to persist
 }
 
 // DiskStore is a crash-safe, content-addressed on-disk entry store. Each

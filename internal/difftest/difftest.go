@@ -482,8 +482,8 @@ func checkFixpoint(s *subject) {
 }
 
 // dispatchDetail runs a program under both interpreter dispatchers and
-// demands bit-identical results: output, trap string, step count, total and
-// per-mode cycles, dynamic extension count, branch profile, and call counts.
+// demands bit-identical results: output, trap string, step count, cycles,
+// dynamic extension count, branch profile, and call counts.
 // It checks the two configurations the system actually runs: the profiling
 // tier (Mode32, profile and call counting, on the source program) and the
 // optimized tier (Mode64, dummy checking, on the compiled program).
@@ -537,9 +537,6 @@ func dispatchCompare(sw *interp.Result, swErr error, th *interp.Result, thErr er
 	}
 	if sw.Cycles != th.Cycles {
 		return fmt.Sprintf("cycle count mismatch: switch %d, threaded %d", sw.Cycles, th.Cycles)
-	}
-	if sw.ModeCycles != th.ModeCycles {
-		return fmt.Sprintf("mode cycle split mismatch: switch %v, threaded %v", sw.ModeCycles, th.ModeCycles)
 	}
 	if sw.Ext != th.Ext {
 		return fmt.Sprintf("dynamic extension count mismatch: switch %d, threaded %d", sw.Ext, th.Ext)

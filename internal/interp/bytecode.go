@@ -181,10 +181,10 @@ type bcFunc struct {
 // bcState is bcFunc plus per-run state that depends on Options.
 type bcState struct {
 	bf      *bcFunc
-	cost    []int64      // per orig index; nil when Options.Cost is nil
-	segCost []int64      // per segment
-	prof    [][2]int64   // dense branch counters; nil when !Options.Profile
-	entered bool         // function executed at least once this run
+	cost    []int64    // per orig index; nil when Options.Cost is nil
+	segCost []int64    // per segment
+	prof    [][2]int64 // dense branch counters; nil when !Options.Profile
+	entered bool       // function executed at least once this run
 }
 
 // bcFrame is one threaded call frame. Pooled on the machine: it escapes into
@@ -200,7 +200,6 @@ type bcFrame struct {
 	segIdx     int32
 	baseSteps  int64
 	baseCycles int64
-	baseModeC  int64
 
 	ret      slot
 	err      error
@@ -276,7 +275,6 @@ func (m *machine) bcRollback(fr *bcFrame) {
 			sum += st.cost[i]
 		}
 		m.res.Cycles = fr.baseCycles + sum
-		m.res.ModeCycles[m.mode] = fr.baseModeC + sum
 	}
 	for _, e := range seg.exts {
 		m.res.Ext[e.w] -= e.n
@@ -299,10 +297,7 @@ func hSeg(fr *bcFrame, in *bcIns, pc int) int {
 	m.res.Steps += seg.steps
 	if fr.st.cost != nil {
 		fr.baseCycles = m.res.Cycles
-		fr.baseModeC = m.res.ModeCycles[m.mode]
-		c := fr.st.segCost[in.t0]
-		m.res.Cycles += c
-		m.res.ModeCycles[m.mode] += c
+		m.res.Cycles += fr.st.segCost[in.t0]
 	}
 	for _, e := range seg.exts {
 		m.res.Ext[e.w] += e.n
@@ -328,9 +323,7 @@ func (fr *bcFrame) runCareful(seg *bcSeg) int {
 			return -1
 		}
 		if fr.st.cost != nil {
-			c := fr.st.cost[k]
-			m.res.Cycles += c
-			m.res.ModeCycles[m.mode] += c
+			m.res.Cycles += fr.st.cost[k]
 		}
 		if in.extW != 0 {
 			m.res.Ext[in.extW]++

@@ -24,8 +24,8 @@ func runBoth(t *testing.T, prog *ir.Program, opt Options) (sw, th *Result, swErr
 }
 
 // assertIdentical requires every observable of the two runs to match: output,
-// error string, step and cycle totals, per-mode cycle split, executed
-// sign-extension counts, branch profiles, and call counts.
+// error string, step and cycle totals, executed sign-extension counts,
+// branch profiles, and call counts.
 func assertIdentical(t *testing.T, label string, sw, th *Result, swErr, thErr error) {
 	t.Helper()
 	errStr := func(err error) string {
@@ -45,9 +45,6 @@ func assertIdentical(t *testing.T, label string, sw, th *Result, swErr, thErr er
 	}
 	if sw.Cycles != th.Cycles {
 		t.Fatalf("%s: cycles: switch %d, threaded %d", label, sw.Cycles, th.Cycles)
-	}
-	if sw.ModeCycles != th.ModeCycles {
-		t.Fatalf("%s: mode cycles: switch %v, threaded %v", label, sw.ModeCycles, th.ModeCycles)
 	}
 	if sw.Ext != th.Ext {
 		t.Fatalf("%s: ext counts: switch %v, threaded %v", label, sw.Ext[8:33], th.Ext[8:33])
@@ -358,29 +355,20 @@ func TestIrregularFunctionFallsBack(t *testing.T) {
 	assertIdentical(t, "irregular", sw, th, swErr, thErr)
 }
 
-// TestModeCyclesSplit pins the ModeCycles invariant both dispatchers share.
-func TestModeCyclesSplit(t *testing.T) {
-	prog := stepLimitProg()
-	for _, d := range []Dispatch{DispatchSwitch, DispatchThreaded} {
-		res, err := Run(prog, "main", Options{
-			Mode: Mode64,
-			Cost: target.CostModel(ir.IA64),
-			FuncMode: func(name string) Mode {
-				if name == "f" {
-					return Mode32
-				}
-				return Mode64
-			},
-			Dispatch: d,
-		})
-		if err != nil {
-			t.Fatalf("dispatch %d: %v", d, err)
-		}
-		if res.ModeCycles[Mode32] == 0 || res.ModeCycles[Mode64] == 0 {
-			t.Fatalf("dispatch %d: expected both tiers to accrue cycles, got %v", d, res.ModeCycles)
-		}
-		if res.ModeCycles[Mode32]+res.ModeCycles[Mode64] != res.Cycles {
-			t.Fatalf("dispatch %d: mode split %v does not sum to cycles %d", d, res.ModeCycles, res.Cycles)
-		}
-	}
+// TestMixedTierDispatchIdentity: with per-function modes, as the tiered
+// runtime runs them, both dispatchers agree on every observable.
+func TestMixedTierDispatchIdentity(t *testing.T) {
+	sw, th, swErr, thErr := runBoth(t, stepLimitProg(), Options{
+		Mode:       Mode64,
+		Cost:       target.CostModel(ir.IA64),
+		Profile:    true,
+		CountCalls: true,
+		FuncMode: func(name string) Mode {
+			if name == "f" {
+				return Mode32
+			}
+			return Mode64
+		},
+	})
+	assertIdentical(t, "mixed tiers", sw, th, swErr, thErr)
 }

@@ -121,17 +121,9 @@ const DefaultMaxDepth = 10000
 
 // Result is the outcome of a run.
 type Result struct {
-	Output string
-	Steps  int64
-	Cycles int64
-
-	// ModeCycles splits Cycles by the executing function's register
-	// semantics: ModeCycles[Mode64] for compiled-form frames and
-	// ModeCycles[Mode32] for source-form frames. In a tiered run this is
-	// the per-tier cycle breakdown the measured interpreter penalty is
-	// applied to. Invariant: ModeCycles[0]+ModeCycles[1] == Cycles.
-	ModeCycles [2]int64
-
+	Output  string
+	Steps   int64
+	Cycles  int64
 	Ext     [65]int64 // dynamic executed OpExt count, indexed by width
 	Profile Profile
 	Calls   map[string]int64 // per-function entry counts (Options.CountCalls)
@@ -301,9 +293,7 @@ func (m *machine) exec(fn *ir.Func, caller []slot, argRegs []ir.Reg) (slot, erro
 				return slot{}, ErrStepLimit
 			}
 			if m.opt.Cost != nil {
-				c := m.opt.Cost(ins)
-				m.res.Cycles += c
-				m.res.ModeCycles[m.mode] += c
+				m.res.Cycles += m.opt.Cost(ins)
 			}
 			if m.opt.Trace != nil && m.res.Steps <= m.traceLimit {
 				m.opt.Trace(fn.Name, b, ins)

@@ -1,19 +1,10 @@
-// Package profile implements the online branch-profiling side of the tiered
-// runtime: lock-cheap per-function taken/fall-through counters gathered while
-// code runs in the interpreter tier, a serializable snapshot form that
-// round-trips through JSON (sxelim -profile-out / -profile-in), and the
-// conversions that feed gathered counts into order determination
-// (freq.BranchProfile) and the jit driver (interp.Profile).
-//
-// Two representations exist on purpose:
-//
-//   - Collector is the hot mutable accumulator: a read-locked map lookup plus
-//     one atomic add per observed branch, safe for concurrent writers, so an
-//     instrumented execution tier never serializes on a global lock.
-//   - Profile is the immutable value form a Snapshot produces: plain counts,
-//     mergeable, JSON-serializable with a deterministic byte encoding
-//     (functions sorted by name, branches by instruction ID), and directly
-//     usable as a freq.BranchProfile.
+// Package profile is the branch profile of the tiered runtime: per-function
+// entry counts and taken/fall-through counters gathered while code runs in
+// the interpreter tier. Profile is one plain value type: mergeable with
+// saturating adds, JSON-serializable with a deterministic byte encoding
+// (functions sorted by name, branches by instruction ID; sxelim -profile-out
+// / -profile-in), and directly usable as a freq.BranchProfile or, through
+// ToInterp, as the interp.Profile that jit.Options takes.
 //
 // Branch counters are keyed by the branch instruction's ID in the frontend
 // (32-bit form) program; ir.Func.Clone preserves IDs, so profiles gathered on
@@ -27,8 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"signext/internal/interp"
 )
@@ -268,163 +257,4 @@ func satAdd(a, b int64) int64 {
 		return math.MaxInt64
 	}
 	return s
-}
-
-// funcCounters is one function's live counter block inside a Collector.
-type funcCounters struct {
-	calls int64 // atomic
-
-	mu sync.RWMutex // guards the branches map's shape, not the counters
-	br map[int]*[2]int64
-}
-
-func (fc *funcCounters) counter(id int) *[2]int64 {
-	fc.mu.RLock()
-	c := fc.br[id]
-	fc.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if c = fc.br[id]; c == nil {
-		c = new([2]int64)
-		fc.br[id] = c
-	}
-	return c
-}
-
-// Collector accumulates branch and entry counters from any number of
-// concurrent observers. The hot path — an already-seen (function, branch)
-// pair — is a shared read lock plus one atomic add; map growth takes the
-// write lock once per new key.
-type Collector struct {
-	mu  sync.RWMutex
-	fns map[string]*funcCounters
-}
-
-// NewCollector returns an empty collector. seed, if non-nil, pre-loads
-// previously gathered counters (sxelim -profile-in, warm-start persistence).
-func NewCollector(seed Profile) *Collector {
-	c := &Collector{fns: map[string]*funcCounters{}}
-	c.Add(seed)
-	return c
-}
-
-func (c *Collector) fn(name string) *funcCounters {
-	c.mu.RLock()
-	fc := c.fns[name]
-	c.mu.RUnlock()
-	if fc != nil {
-		return fc
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if fc = c.fns[name]; fc == nil {
-		fc = &funcCounters{br: map[int]*[2]int64{}}
-		c.fns[name] = fc
-	}
-	return fc
-}
-
-// Observe records one executed conditional branch.
-func (c *Collector) Observe(fn string, id int, taken bool) {
-	ctr := c.fn(fn).counter(id)
-	if taken {
-		atomic.AddInt64(&ctr[0], 1)
-	} else {
-		atomic.AddInt64(&ctr[1], 1)
-	}
-}
-
-// ObserveCall records one function entry.
-func (c *Collector) ObserveCall(fn string) {
-	atomic.AddInt64(&c.fn(fn).calls, 1)
-}
-
-// Add merges a finished profile (e.g. one interpreter run's snapshot) into
-// the collector. Cheaper than per-branch Observe calls when a run already
-// aggregated its own counters.
-func (c *Collector) Add(p Profile) {
-	for name, fp := range p {
-		fc := c.fn(name)
-		if fp.Calls != 0 {
-			atomic.AddInt64(&fc.calls, fp.Calls)
-		}
-		for id, counts := range fp.Branches {
-			ctr := fc.counter(id)
-			atomic.AddInt64(&ctr[0], counts.Taken)
-			atomic.AddInt64(&ctr[1], counts.Fall)
-		}
-	}
-}
-
-// AddRun merges one interpreter run's branch counters and call counts,
-// keeping only functions include accepts (the tiered runtime filters out
-// functions already running compiled code, whose instruction IDs belong to
-// the optimized body, not the frontend form). A nil include keeps all.
-func (c *Collector) AddRun(ip interp.Profile, calls map[string]int64, include func(string) bool) {
-	for name, m := range ip {
-		if include != nil && !include(name) {
-			continue
-		}
-		fc := c.fn(name)
-		for id, counts := range m {
-			ctr := fc.counter(id)
-			atomic.AddInt64(&ctr[0], counts[0])
-			atomic.AddInt64(&ctr[1], counts[1])
-		}
-	}
-	for name, n := range calls {
-		if include != nil && !include(name) {
-			continue
-		}
-		atomic.AddInt64(&c.fn(name).calls, n)
-	}
-}
-
-// Snapshot returns a consistent value copy of the counters. Concurrent
-// observers may keep counting; the snapshot reflects some point between the
-// call's start and end.
-func (c *Collector) Snapshot() Profile {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	p := Profile{}
-	for name, fc := range c.fns {
-		fp := &FuncProfile{Calls: atomic.LoadInt64(&fc.calls), Branches: map[int]Counts{}}
-		fc.mu.RLock()
-		for id, ctr := range fc.br {
-			fp.Branches[id] = Counts{
-				Taken: atomic.LoadInt64(&ctr[0]),
-				Fall:  atomic.LoadInt64(&ctr[1]),
-			}
-		}
-		fc.mu.RUnlock()
-		p[name] = fp
-	}
-	return p
-}
-
-// Weight reports a function's current hotness (entries + branch events).
-func (c *Collector) Weight(fn string) int64 {
-	c.mu.RLock()
-	fc := c.fns[fn]
-	c.mu.RUnlock()
-	if fc == nil {
-		return 0
-	}
-	w := atomic.LoadInt64(&fc.calls)
-	fc.mu.RLock()
-	for _, ctr := range fc.br {
-		w = satAdd(w, satAdd(atomic.LoadInt64(&ctr[0]), atomic.LoadInt64(&ctr[1])))
-	}
-	fc.mu.RUnlock()
-	return w
-}
-
-// Reset drops every counter.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.fns = map[string]*funcCounters{}
-	c.mu.Unlock()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 
 	"signext/internal/interp"
@@ -128,65 +127,5 @@ func TestInterpConversions(t *testing.T) {
 	}
 	if taken, fall := p.Counts("main", 99); taken != 0 || fall != 0 {
 		t.Fatalf("missing branch Counts = %d/%d, want 0/0", taken, fall)
-	}
-}
-
-func TestCollectorConcurrent(t *testing.T) {
-	c := NewCollector(nil)
-	const workers, per = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Observe("main", 7, i%2 == 0)
-				c.ObserveCall("main")
-				c.Observe("f", w, true) // per-worker branch id: map growth under contention
-			}
-		}(w)
-	}
-	wg.Wait()
-	p := c.Snapshot()
-	if got := p["main"].Calls; got != workers*per {
-		t.Fatalf("calls = %d, want %d", got, workers*per)
-	}
-	b := p["main"].Branches[7]
-	if b.Taken+b.Fall != workers*per || b.Taken != b.Fall {
-		t.Fatalf("branch counts = %+v", b)
-	}
-	for w := 0; w < workers; w++ {
-		if got := p["f"].Branches[w]; got != (Counts{Taken: per}) {
-			t.Fatalf("worker %d branch = %+v", w, got)
-		}
-	}
-	if got, want := c.Weight("main"), int64(2*workers*per); got != want {
-		t.Fatalf("Weight = %d, want %d", got, want)
-	}
-	c.Reset()
-	if len(c.Snapshot()) != 0 {
-		t.Fatal("Reset left counters behind")
-	}
-}
-
-func TestCollectorSeedAndAddRun(t *testing.T) {
-	c := NewCollector(sample())
-	c.AddRun(
-		interp.Profile{
-			"main": {7: &[2]int64{1, 1}},
-			"hot":  {3: &[2]int64{5, 0}},
-		},
-		map[string]int64{"main": 1, "hot": 2},
-		func(name string) bool { return name != "hot" }, // hot already promoted: its IDs are compiled-body IDs
-	)
-	p := c.Snapshot()
-	if got := p["main"].Branches[7]; got != (Counts{Taken: 11, Fall: 3}) {
-		t.Fatalf("seed+run merge = %+v", got)
-	}
-	if p["hot"] != nil {
-		t.Fatalf("excluded function was merged: %+v", p["hot"])
-	}
-	if p["main"].Calls != 4 {
-		t.Fatalf("calls = %d, want 4", p["main"].Calls)
 	}
 }

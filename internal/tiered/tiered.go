@@ -10,11 +10,11 @@
 //
 // A function's branch profile freezes at promotion: later runs execute its
 // compiled body, whose instruction IDs no longer correspond to the source
-// form, so the collector excludes promoted functions. Because the compiler
-// consumes only a function's own branch counts, the body compiled at
-// promotion time is bit-identical to one compiled later with the final
-// gathered profile — the invariant the difftest profile-identity property
-// checks against one-shot compilation.
+// form, so the profile merges only interpreter-tier functions' counts.
+// Because the compiler consumes only a function's own branch counts, the
+// body compiled at promotion time is bit-identical to one compiled later
+// with the final gathered profile — the invariant the difftest
+// profile-identity property checks against one-shot compilation.
 package tiered
 
 import (
@@ -26,7 +26,6 @@ import (
 	"signext/internal/ir"
 	"signext/internal/jit"
 	"signext/internal/profile"
-	"signext/internal/target"
 )
 
 // Tier identifies which form of a function executes.
@@ -46,11 +45,9 @@ func (t Tier) String() string {
 	return "interp"
 }
 
-// Defaults for Config zero values.
-const (
-	DefaultHotThreshold  = 100
-	DefaultInterpPenalty = 10
-)
+// DefaultHotThreshold is the promotion threshold for a zero
+// Config.HotThreshold.
+const DefaultHotThreshold = 100
 
 // Config configures a Manager.
 type Config struct {
@@ -67,18 +64,11 @@ type Config struct {
 	// DefaultHotThreshold; negative means never promote.
 	HotThreshold int64
 
-	// InterpPenalty scales the cycle cost of instructions executed in
-	// interpreter-tier frames, making the tier split visible in the cycle
-	// telemetry. Default DefaultInterpPenalty (a modelled 10×); 1 disables
-	// the penalty. The penalty and every speedup derived from it are
-	// modelled, not measured.
-	InterpPenalty float64
-
 	// MaxSteps bounds each invocation's interpreter steps (0 = interp
 	// default).
 	MaxSteps int64
 
-	// Seed warm-starts the collector, e.g. from a persisted profile
+	// Seed warm-starts the profile, e.g. from a persisted profile
 	// (sxelim -profile-in). Seeded weight counts toward promotion, so hot
 	// functions from a previous process can tier up before their first run.
 	Seed profile.Profile
@@ -100,46 +90,26 @@ type FuncState struct {
 	PromotedAt int // invocation after which it tiered up; -1 if still interpreting
 }
 
-// Telemetry aggregates the runtime's tier behaviour.
+// Telemetry aggregates the runtime's tier behaviour. Its times are measured
+// wall clock; the runtime models no tier cost.
 type Telemetry struct {
 	Invocations int
 	TierUps     int           // functions promoted to the compiled tier
 	TierUpWall  time.Duration // total wall clock of promotion compile rounds
-
-	// InterpCycles and CompiledCycles split the cycles by the tier of the
-	// executing frame; InterpCycles already includes the InterpPenalty
-	// factor. InvocationCycles records each invocation's total, so
-	// cold-vs-steady-state comparisons need no re-run. InvokeWall is the
-	// summed wall clock of the Invoke executions themselves (promotion
-	// compiles excluded) — the measured counterpart of the modelled cycles.
-	InterpCycles     int64
-	CompiledCycles   int64
-	InvocationCycles []int64
-	InvokeWall       time.Duration
+	InvokeWall  time.Duration // total wall clock of the Invoke executions, compiles excluded
 }
 
-// SteadySpeedup returns the modelled speedup of the last (steady-state)
-// invocation over the first (cold, all-interpreter) one; 0 with fewer than
-// two invocations.
-func (t Telemetry) SteadySpeedup() float64 {
-	n := len(t.InvocationCycles)
-	if n < 2 || t.InvocationCycles[n-1] == 0 {
-		return 0
-	}
-	return float64(t.InvocationCycles[0]) / float64(t.InvocationCycles[n-1])
-}
-
-// Manager owns a tiered execution of one program.
+// Manager owns a tiered execution of one program. It is not safe for
+// concurrent use.
 type Manager struct {
-	cfg       Config
-	src       *ir.Program // pristine 32-bit source: every compile starts here
-	mixed     *ir.Program // executing program: source bodies + promoted compiled bodies
-	collector *profile.Collector
-	tier      map[string]Tier
-	prom      []Promotion
-	promAt    map[string]int
-	tel       Telemetry
-	baseCost  func(*ir.Instr) int64
+	cfg    Config
+	src    *ir.Program // pristine 32-bit source: every compile starts here
+	mixed  *ir.Program // executing program: source bodies + promoted compiled bodies
+	prof   profile.Profile
+	tier   map[string]Tier
+	prom   []Promotion
+	promAt map[string]int
+	tel    Telemetry
 }
 
 // New creates a Manager for prog (32-bit frontend form; not modified). A
@@ -152,17 +122,13 @@ func New(prog *ir.Program, cfg Config) (*Manager, error) {
 	if cfg.HotThreshold == 0 {
 		cfg.HotThreshold = DefaultHotThreshold
 	}
-	if cfg.InterpPenalty <= 0 {
-		cfg.InterpPenalty = DefaultInterpPenalty
-	}
 	m := &Manager{
-		cfg:       cfg,
-		src:       prog,
-		mixed:     prog.Clone(),
-		collector: profile.NewCollector(cfg.Seed),
-		tier:      map[string]Tier{},
-		promAt:    map[string]int{},
-		baseCost:  target.CostModel(cfg.Options.Machine),
+		cfg:    cfg,
+		src:    prog,
+		mixed:  prog.Clone(),
+		prof:   profile.Profile{}.Merge(cfg.Seed),
+		tier:   map[string]Tier{},
+		promAt: map[string]int{},
 	}
 	for _, fn := range prog.Funcs {
 		m.tier[fn.Name] = TierInterp
@@ -185,11 +151,6 @@ func (m *Manager) Invoke() (*interp.Result, error) {
 	m.tel.Invocations++
 	inv := m.tel.Invocations
 
-	// Interpreter-tier frames run Mode32, compiled frames Mode64, so
-	// Result.ModeCycles is exactly the per-tier cycle split; the penalty is
-	// applied to the interpreter share afterwards. The cost model stays
-	// pure, which lets the threaded dispatcher charge whole segments at
-	// once instead of calling a closure per instruction.
 	t0 := time.Now()
 	res, err := interp.Run(m.mixed, m.cfg.Entry, interp.Options{
 		Mode:        interp.Mode64,
@@ -204,17 +165,17 @@ func (m *Manager) Invoke() (*interp.Result, error) {
 			}
 			return interp.Mode32
 		},
-		Cost: m.baseCost,
 	})
 	m.tel.InvokeWall += time.Since(t0)
-	m.collector.AddRun(res.Profile, res.Calls, func(name string) bool {
-		return m.tier[name] != TierCompiled
-	})
-	interpCycles := int64(float64(res.ModeCycles[interp.Mode32]) * m.cfg.InterpPenalty)
-	compiledCycles := res.ModeCycles[interp.Mode64]
-	m.tel.InterpCycles += interpCycles
-	m.tel.CompiledCycles += compiledCycles
-	m.tel.InvocationCycles = append(m.tel.InvocationCycles, interpCycles+compiledCycles)
+	// A compiled body's instruction IDs are not the source form's, so only
+	// interpreter-tier counts join the profile.
+	run := profile.FromInterp(res.Profile, res.Calls)
+	for name := range run {
+		if m.tier[name] == TierCompiled {
+			delete(run, name)
+		}
+	}
+	m.prof.Merge(run)
 	if err != nil {
 		return res, err
 	}
@@ -234,7 +195,7 @@ func (m *Manager) promote(inv int) error {
 	}
 	var hot []string
 	for _, fn := range m.src.Funcs {
-		if m.tier[fn.Name] == TierInterp && m.collector.Weight(fn.Name) >= m.cfg.HotThreshold {
+		if m.tier[fn.Name] == TierInterp && m.prof.Weight(fn.Name) >= m.cfg.HotThreshold {
 			hot = append(hot, fn.Name)
 		}
 	}
@@ -242,7 +203,7 @@ func (m *Manager) promote(inv int) error {
 		return nil
 	}
 	o := m.cfg.Options
-	o.Profile = m.collector.Snapshot().ToInterp()
+	o.Profile = m.prof.ToInterp()
 	t0 := time.Now()
 	res, err := jit.Compile(m.src, o)
 	wall := time.Since(t0)
@@ -259,7 +220,7 @@ func (m *Manager) promote(inv int) error {
 		m.promAt[name] = inv
 		m.prom = append(m.prom, Promotion{
 			Func: name, Invocation: inv,
-			Weight: m.collector.Weight(name), Wall: wall,
+			Weight: m.prof.Weight(name), Wall: wall,
 		})
 	}
 	m.tel.TierUps = len(m.prom)
@@ -273,22 +234,18 @@ func (m *Manager) promote(inv int) error {
 // executing.
 func (m *Manager) Finalize() (*jit.Result, error) {
 	o := m.cfg.Options
-	o.Profile = m.collector.Snapshot().ToInterp()
+	o.Profile = m.prof.ToInterp()
 	return jit.Compile(m.src, o)
 }
 
-// Profile returns a snapshot of the gathered profile (seed included).
-func (m *Manager) Profile() profile.Profile { return m.collector.Snapshot() }
+// Profile returns a copy of the gathered profile (seed included).
+func (m *Manager) Profile() profile.Profile { return m.prof.Clone() }
 
 // Promotions returns every tier-up so far, in promotion order.
 func (m *Manager) Promotions() []Promotion { return append([]Promotion(nil), m.prom...) }
 
 // Telemetry returns the aggregate tier telemetry.
-func (m *Manager) Telemetry() Telemetry {
-	t := m.tel
-	t.InvocationCycles = append([]int64(nil), m.tel.InvocationCycles...)
-	return t
-}
+func (m *Manager) Telemetry() Telemetry { return m.tel }
 
 // Tier returns fn's current tier.
 func (m *Manager) Tier(fn string) Tier { return m.tier[fn] }
@@ -300,7 +257,7 @@ func (m *Manager) States() []FuncState {
 		s := FuncState{
 			Name:       fn.Name,
 			Tier:       m.tier[fn.Name],
-			Weight:     m.collector.Weight(fn.Name),
+			Weight:     m.prof.Weight(fn.Name),
 			PromotedAt: -1,
 		}
 		if s.Tier == TierCompiled {

@@ -1,13 +1,16 @@
 package tiered
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"signext/internal/codecache"
 	"signext/internal/interp"
 	"signext/internal/ir"
-	"signext/internal/codecache"
 	"signext/internal/jit"
+	"signext/internal/profile"
 )
 
 // testProg: main calls f(40) and prints its result; f runs a branchy loop
@@ -233,16 +236,11 @@ func TestNeverPromote(t *testing.T) {
 	if res.Output != ref.Output {
 		t.Fatalf("interpreter-tier output diverged from reference:\n%q\n%q", res.Output, ref.Output)
 	}
-	tel := m.Telemetry()
-	if tel.CompiledCycles != 0 || tel.InterpCycles == 0 {
-		t.Fatalf("cycle split wrong for all-interp run: %+v", tel)
-	}
 }
 
-// TestTelemetryAndSteadySpeedup: per-invocation cycles are recorded, the
-// interpreter penalty makes the cold invocation dearer than the steady one,
-// and the tier split accounts for every modelled cycle.
-func TestTelemetryAndSteadySpeedup(t *testing.T) {
+// TestTelemetryAndStates: invocations and tier-ups are counted, both wall
+// clocks are measured, and States reports each function's promotion point.
+func TestTelemetryAndStates(t *testing.T) {
 	prog := testProg()
 	m, err := New(prog, Config{Options: testOpts(), HotThreshold: 100})
 	if err != nil {
@@ -255,21 +253,11 @@ func TestTelemetryAndSteadySpeedup(t *testing.T) {
 		}
 	}
 	tel := m.Telemetry()
-	if tel.Invocations != rounds || len(tel.InvocationCycles) != rounds {
+	if tel.Invocations != rounds || tel.InvokeWall <= 0 {
 		t.Fatalf("invocation accounting: %+v", tel)
 	}
 	if tel.TierUps == 0 || tel.TierUpWall <= 0 {
 		t.Fatalf("tier-up telemetry missing: %+v", tel)
-	}
-	if sp := tel.SteadySpeedup(); sp <= 1 {
-		t.Errorf("steady-state speedup = %g, want > 1 (penalty %d)", sp, DefaultInterpPenalty)
-	}
-	var sum int64
-	for _, c := range tel.InvocationCycles {
-		sum += c
-	}
-	if got := tel.InterpCycles + tel.CompiledCycles; got != sum {
-		t.Errorf("cycle split %d does not account for invocation total %d", got, sum)
 	}
 	states := m.States()
 	if len(states) != 2 {
@@ -282,6 +270,98 @@ func TestTelemetryAndSteadySpeedup(t *testing.T) {
 		if s.Tier == TierInterp && s.PromotedAt != -1 {
 			t.Errorf("interp %s has PromotedAt %d", s.Name, s.PromotedAt)
 		}
+	}
+}
+
+// TestProfileMergesInterpTierOnly: the gathered profile starts from a copy
+// of the seed, keeps adding interpreter-tier counts, and stops adding a
+// function's counts once it runs its compiled body.
+func TestProfileMergesInterpTierOnly(t *testing.T) {
+	prog := testProg()
+	seed := profile.Profile{"main": {Calls: 5, Branches: map[int]profile.Counts{}}}
+	m, err := New(prog, Config{Options: testOpts(), HotThreshold: 150, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m.Tier("f") != TierCompiled {
+		if m.Telemetry().Invocations == 10 {
+			t.Fatal("f never promoted")
+		}
+		if _, err := m.Invoke(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Tier("main") != TierInterp {
+		t.Fatal("main promoted; the test needs it in the interpreter tier")
+	}
+	frozen := m.Profile()["f"]
+	inv := m.Telemetry().Invocations
+	for i := 0; i < 2; i++ {
+		if _, err := m.Invoke(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := m.Profile()
+	if !reflect.DeepEqual(p["f"], frozen) {
+		t.Fatalf("promoted f's profile moved: %+v, frozen at %+v", p["f"], frozen)
+	}
+	if got, want := p["main"].Calls, int64(5+inv+2); got != want {
+		t.Fatalf("main calls = %d, want seed 5 + %d invocations", got, inv+2)
+	}
+	if seed["main"].Calls != 5 {
+		t.Fatalf("manager wrote through to its seed: %+v", seed["main"])
+	}
+}
+
+// TestSeedCountsSaturate: counts merged onto a seed near MaxInt64 saturate
+// at MaxInt64 instead of wrapping negative, so the gathered profile still
+// round-trips through its own wire format.
+func TestSeedCountsSaturate(t *testing.T) {
+	prog := testProg()
+	probe, err := New(prog, Config{Options: testOpts(), HotThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := probe.Invoke(); err != nil {
+		t.Fatal(err)
+	}
+	seed := probe.Profile()
+	for _, fp := range seed {
+		fp.Calls = math.MaxInt64 - 1
+		for id := range fp.Branches {
+			fp.Branches[id] = profile.Counts{Taken: math.MaxInt64 - 1, Fall: math.MaxInt64 - 1}
+		}
+	}
+	m, err := New(prog, Config{Options: testOpts(), HotThreshold: -1, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Invoke(); err != nil {
+		t.Fatal(err)
+	}
+	p := m.Profile()
+	for _, name := range []string{"main", "f"} {
+		if got := p[name].Calls; got != math.MaxInt64 {
+			t.Errorf("%s calls = %d, want MaxInt64", name, got)
+		}
+		if got := p.Weight(name); got != math.MaxInt64 {
+			t.Errorf("%s weight = %d, want MaxInt64", name, got)
+		}
+	}
+	if len(p["f"].Branches) == 0 {
+		t.Fatal("f gathered no branch counts")
+	}
+	for id, c := range p["f"].Branches {
+		if c.Taken != math.MaxInt64 {
+			t.Errorf("f branch %d taken = %d, want MaxInt64", id, c.Taken)
+		}
+	}
+	back, err := profile.Unmarshal(p.Marshal())
+	if err != nil {
+		t.Fatalf("saturated profile does not round-trip: %v", err)
+	}
+	if !reflect.DeepEqual(back, p) {
+		t.Fatalf("round trip changed the profile:\n%+v\n%+v", back, p)
 	}
 }
 

@@ -109,12 +109,6 @@ type Options struct {
 	// Profiles persisted by a tiered run (Profile.Marshal, sxelim
 	// -profile-out) round-trip here.
 	Profile Profile
-
-	// Tiered gathers the branch profile with the tiered runtime instead of
-	// a flat profiling run: the program executes under the execution
-	// manager (default thresholds) and the compile uses the profile it
-	// collected. Ignored when Profile is set.
-	Tiered bool
 }
 
 // Cache is a shared, concurrency-safe, content-addressed per-function
@@ -316,12 +310,6 @@ func CompileProgram(prog *ir.Program, o Options) (*Result, error) {
 	switch {
 	case o.Profile != nil:
 		p = o.Profile.ToInterp()
-	case o.Tiered:
-		gathered, err := GatherProfileTiered(prog, TieredOptions{Options: o})
-		if err != nil {
-			return nil, err
-		}
-		p = gathered.ToInterp()
 	case o.WithProfile:
 		ip, err := jit.ProfileRun(prog, "main", 0)
 		if err != nil {
@@ -374,24 +362,14 @@ func GatherProfileSource(src string, maxSteps int64) (Profile, error) {
 	return GatherProfile(cu.Prog, maxSteps)
 }
 
-// GatherProfileTiered runs the tiered execution manager over the program
-// and returns the profile it collected.
-func GatherProfileTiered(prog *ir.Program, o TieredOptions) (Profile, error) {
-	t, err := RunTiered(prog, o)
-	if err != nil {
-		return nil, err
-	}
-	return t.Profile, nil
-}
-
 // Tier-runtime types re-exported for facade users.
 type (
 	// Promotion records one function's tier-up.
 	Promotion = tiered.Promotion
 	// TierState is one function's tier, hotness weight and promotion point.
 	TierState = tiered.FuncState
-	// TierTelemetry aggregates invocation counts, tier-ups, tier-up wall
-	// time and the per-tier modelled cycle split.
+	// TierTelemetry aggregates invocation counts, tier-ups and the
+	// measured wall time of invocations and tier-up compiles.
 	TierTelemetry = tiered.Telemetry
 )
 
@@ -407,10 +385,6 @@ type TieredOptions struct {
 	// function is promoted out of the interpreter tier. 0 selects the
 	// default; negative never promotes.
 	HotThreshold int64
-
-	// InterpPenalty scales cycles of interpreter-tier frames (default 10,
-	// a modelled ratio).
-	InterpPenalty float64
 
 	// MaxSteps bounds each invocation's interpreter steps (0 = default).
 	MaxSteps int64
@@ -455,12 +429,11 @@ func RunTiered(prog *ir.Program, o TieredOptions) (*TieredResult, error) {
 		inv = 3
 	}
 	m, err := tiered.New(prog, tiered.Config{
-		Options:       o.jitOptions(nil),
-		Entry:         "main",
-		HotThreshold:  o.HotThreshold,
-		InterpPenalty: o.InterpPenalty,
-		MaxSteps:      o.MaxSteps,
-		Seed:          o.Seed,
+		Options:      o.jitOptions(nil),
+		Entry:        "main",
+		HotThreshold: o.HotThreshold,
+		MaxSteps:     o.MaxSteps,
+		Seed:         o.Seed,
 	})
 	if err != nil {
 		return nil, err

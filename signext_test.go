@@ -266,9 +266,17 @@ func TestFacadeProfileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFacadeTieredCompileOption: a profile gathered by the tiered runtime
+// feeds a static compile through Options.Profile.
 func TestFacadeTieredCompileOption(t *testing.T) {
+	tr, err := signext.RunTieredSource(apiSrc, signext.TieredOptions{
+		Options: signext.Options{Variant: signext.VariantAll, Machine: signext.IA64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := signext.CompileSource(apiSrc, signext.Options{
-		Variant: signext.VariantAll, Machine: signext.IA64, Tiered: true,
+		Variant: signext.VariantAll, Machine: signext.IA64, Profile: tr.Profile,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +290,7 @@ func TestFacadeTieredCompileOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if run.Output != ref {
-		t.Fatalf("Options.Tiered compile diverged:\nref %q\ngot %q", ref, run.Output)
+		t.Fatalf("tiered-profile compile diverged:\nref %q\ngot %q", ref, run.Output)
 	}
 	if res.Eliminated() == 0 {
 		t.Fatal("nothing eliminated")
