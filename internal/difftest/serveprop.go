@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"time"
 
+	"signext/internal/guard"
 	"signext/internal/jit"
 	"signext/internal/serve"
 )
@@ -15,7 +16,8 @@ import (
 // serveDetail checks the serve-identity property for one program on one
 // machine: the compile daemon, driven through its real HTTP handler, must
 // answer exactly what the direct jit compile produced — same static
-// statistics, same output, same trap — and a request forced onto the
+// statistics, same output, same trap — uncached, and cold, all-hit and
+// request-entry-hit against the default cache; and a request forced onto the
 // degraded floor by a hostile deadline must still reproduce the reference
 // output. It returns "" when the property holds, a diagnostic otherwise.
 func serveDetail(s *subject) string {
@@ -40,16 +42,32 @@ func serveDetail(s *subject) string {
 	if detail != "" {
 		return detail
 	}
-	if resp.Degraded {
-		return fmt.Sprintf("daemon degraded without any pressure (funcs %v, fallbacks %d)", resp.DegradedFuncs, resp.Fallbacks)
-	}
-	if resp.Eliminated != res.Stats.Eliminated || resp.Inserted != res.Stats.Inserted || resp.StaticExts != res.StaticExts {
-		return fmt.Sprintf("static results differ: daemon (elim %d, ins %d, exts %d), direct (elim %d, ins %d, exts %d)",
-			resp.Eliminated, resp.Inserted, resp.StaticExts,
-			res.Stats.Eliminated, res.Stats.Inserted, res.StaticExts)
-	}
-	if d := runIdentity("daemon", resp, rep.OptOutput, rep.OptErr != nil); d != "" {
+	if d := compileIdentity("daemon", resp, res, rep); d != "" {
 		return d
+	}
+
+	// Cached requests: the same program three times against the default
+	// cache. The first compiles cold, the second from per-function hits and
+	// stores a request entry, the third is answered from that entry. Each
+	// must equal the direct compile.
+	csrv, err := serve.New(serve.Config{Variant: jit.All, Machine: mach})
+	if err != nil {
+		return fmt.Sprintf("cached daemon construction failed: %v", err)
+	}
+	for i, who := range []string{"cold", "all-hit", "entry-hit"} {
+		before := csrv.Stats().Cache
+		cresp, detail := post(csrv, req)
+		if detail != "" {
+			return who + " request: " + detail
+		}
+		if d := compileIdentity(who+" daemon", cresp, res, rep); d != "" {
+			return d
+		}
+		after := csrv.Stats().Cache
+		entryHit := after.Hits-before.Hits == 1 && after.Misses == before.Misses
+		if entryHit != (i == 2) {
+			return fmt.Sprintf("%s request: served from a request entry = %v (cache %+v -> %+v)", who, entryHit, before, after)
+		}
 	}
 
 	// Degraded request: a 1 ms deadline under a much longer injected stall
@@ -75,6 +93,20 @@ func serveDetail(s *subject) string {
 		return d
 	}
 	return ""
+}
+
+// compileIdentity compares an undegraded daemon answer with the direct
+// compile: the same static statistics, then the same output and trap.
+func compileIdentity(who string, resp *serve.CompileResponse, res *jit.Result, rep *guard.Report) string {
+	if resp.Degraded {
+		return fmt.Sprintf("%s degraded without any pressure (funcs %v, fallbacks %d)", who, resp.DegradedFuncs, resp.Fallbacks)
+	}
+	if resp.Eliminated != res.Stats.Eliminated || resp.Inserted != res.Stats.Inserted || resp.StaticExts != res.StaticExts {
+		return fmt.Sprintf("%s static results differ: daemon (elim %d, ins %d, exts %d), direct (elim %d, ins %d, exts %d)",
+			who, resp.Eliminated, resp.Inserted, resp.StaticExts,
+			res.Stats.Eliminated, res.Stats.Inserted, res.StaticExts)
+	}
+	return runIdentity(who, resp, rep.OptOutput, rep.OptErr != nil)
 }
 
 // runIdentity compares a daemon answer's dynamic half against an expected

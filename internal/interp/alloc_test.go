@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"signext/internal/ir"
+	"signext/internal/minijava"
+	"signext/internal/workloads"
 )
 
 // callHeavyProg: main calls a tiny function n times — the workload shape
@@ -65,5 +67,27 @@ func TestAllocsPerCallRegression(t *testing.T) {
 		if extra > 20 {
 			t.Errorf("dispatch=%d: 990 extra calls cost %.0f extra allocations; want amortized ~0", d, extra)
 		}
+	}
+}
+
+// TestCompileBCAllocs gates the bytecode compiler's allocations on one
+// kernel. compileBC indexes its instruction and block tables by ID in one
+// slice and sizes every array from a first counting pass, so a function
+// costs about eight allocations whatever its size; with pointer-keyed maps
+// and growing slices the same kernel cost 86.
+func TestCompileBCAllocs(t *testing.T) {
+	cu, err := minijava.Compile(workloads.SPECjvm98()[1].Source) // jess
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, fn := range cu.Prog.Funcs {
+			if compileBC(cu.Prog, fn) == nil {
+				t.Fatalf("%s did not compile", fn.Name)
+			}
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("compileBC over jess's %d functions: %.0f allocations, want at most 20", len(cu.Prog.Funcs), allocs)
 	}
 }

@@ -1,41 +1,88 @@
 // Bytecode compilation: flattening an ir.Func into the fast (fused,
 // segment-accounted) and careful (unfused, per-instruction) code arrays of a
-// bcFunc, plus the per-run bcState plumbing on machine.
+// bcFunc, the Code handle that holds a program's bytecode, plus the per-run
+// bcState plumbing on machine.
 package interp
 
 import (
+	"unsafe"
+
 	"signext/internal/ir"
 )
 
 const minInt64 = -1 << 63
 
-// compileBC flattens fn, or returns nil when the function is irregular — a
-// terminator anywhere but block-last position. The walker keeps executing the
-// rest of a block after a mid-block jump; replicating that in flat code is
-// not worth it, so irregular functions stay on the walker.
+// compileBC flattens fn, or returns nil when the function cannot run as
+// bytecode: a terminator anywhere but block-last position (the walker keeps
+// executing the rest of a block after a mid-block jump; replicating that in
+// flat code is not worth it), or an instruction or block ID that is out of
+// range or repeated, which the ID-indexed tables below cannot hold. Such
+// functions stay on the walker.
 func compileBC(prog *ir.Program, fn *ir.Func) *bcFunc {
+	// One backing array holds the three ID-indexed tables: origIdx and aux
+	// by Instr.ID, blockStart by Block.ID. aux is a branch's dense counter
+	// index or a call's callee index; no instruction is both. -1 marks an
+	// ID not seen yet.
+	nI, nB := fn.NumInstrIDs(), fn.NumBlockIDs()
+	idx := make([]int32, 2*nI+nB)
+	for i := range idx {
+		idx[i] = -1
+	}
+	origIdx, aux, blockStart := idx[:nI], idx[nI:2*nI], idx[2*nI:]
+
+	// First pass: validate, number the instructions and size every array.
+	var nInstr, nBr, nCall, nExt, nSeg, nPatch int
 	for _, b := range fn.Blocks {
+		if b.ID < 0 || b.ID >= nB || blockStart[b.ID] != -1 {
+			return nil
+		}
+		blockStart[b.ID] = 0 // seen; the fast-code offset is set below
 		for i, ins := range b.Instrs {
 			if ins.IsTerminator() && i != len(b.Instrs)-1 {
 				return nil
 			}
+			if ins.ID < 0 || ins.ID >= nI || origIdx[ins.ID] != -1 {
+				return nil
+			}
+			origIdx[ins.ID] = int32(nInstr)
+			nInstr++
+			switch ins.Op {
+			case ir.OpBr, ir.OpFBr:
+				aux[ins.ID] = int32(nBr)
+				nBr++
+				nPatch += 2
+			case ir.OpJmp:
+				nPatch++
+			case ir.OpCall:
+				aux[ins.ID] = int32(nCall)
+				nCall++
+				nSeg++
+			case ir.OpExt:
+				nExt++
+			}
+		}
+		if n := len(b.Instrs); n > 0 && b.Instrs[n-1].Op != ir.OpCall {
+			nSeg++ // the segment after the block's last call
 		}
 	}
 
-	bf := &bcFunc{fn: fn}
-	origIdx := map[*ir.Instr]int32{}
-	brIdx := map[*ir.Instr]int32{}
-	callIdx := map[*ir.Instr]int32{}
+	bf := &bcFunc{
+		fn:       fn,
+		origs:    make([]*ir.Instr, 0, nInstr),
+		fast:     make([]bcIns, 0, nInstr+nSeg+len(fn.Blocks)),
+		segs:     make([]bcSeg, 0, nSeg),
+		callees:  make([]*ir.Func, 0, nCall),
+		argLists: make([][]ir.Reg, 0, nCall),
+		names:    make([]string, 0, nCall),
+		brIDs:    make([]int, 0, nBr),
+	}
 	for _, b := range fn.Blocks {
 		for _, ins := range b.Instrs {
-			origIdx[ins] = int32(len(bf.origs))
 			bf.origs = append(bf.origs, ins)
 			switch ins.Op {
 			case ir.OpBr, ir.OpFBr:
-				brIdx[ins] = int32(len(bf.brIDs))
 				bf.brIDs = append(bf.brIDs, ins.ID)
 			case ir.OpCall:
-				callIdx[ins] = int32(len(bf.callees))
 				bf.callees = append(bf.callees, prog.Func(ins.Callee))
 				bf.argLists = append(bf.argLists, ins.Args)
 				bf.names = append(bf.names, ins.Callee)
@@ -43,25 +90,18 @@ func compileBC(prog *ir.Program, fn *ir.Func) *bcFunc {
 		}
 	}
 
-	// Careful array: 1:1 with origs, unfused, no accounting tokens (the
-	// careful loop accounts inline). Branch targets stay zero — careful mode
-	// provably traps before any terminator executes.
-	bf.careful = make([]bcIns, len(bf.origs))
-	for k, ins := range bf.origs {
-		bf.careful[k] = encodeOne(ins, origIdx[ins], brIdx, callIdx)
-	}
-
 	// Fast array: per block, segment heads + fused code, then a fell-through
-	// token when the block has no terminator.
+	// token when the block has no terminator. Every segment's extension
+	// counts are carved from one array sized by the function's extensions.
 	type patch struct {
 		pc    int32
 		blk   *ir.Block
 		taken bool
 	}
-	var patches []patch
-	blockStart := map[*ir.Block]int32{}
+	patches := make([]patch, 0, nPatch)
+	exts := make([]extCount, 0, nExt)
 	for _, b := range fn.Blocks {
-		blockStart[b] = int32(len(bf.fast))
+		blockStart[b.ID] = int32(len(bf.fast))
 		instrs := b.Instrs
 		for segStart := 0; segStart < len(instrs); {
 			segEnd := segStart
@@ -73,32 +113,36 @@ func compileBC(prog *ir.Program, fn *ir.Func) *bcFunc {
 			}
 			seg := bcSeg{
 				steps:     int64(segEnd - segStart),
-				origStart: origIdx[instrs[segStart]],
-				origEnd:   origIdx[instrs[segEnd-1]] + 1,
+				origStart: origIdx[instrs[segStart].ID],
+				origEnd:   origIdx[instrs[segEnd-1].ID] + 1,
 			}
+			first := len(exts)
 			for _, ins := range instrs[segStart:segEnd] {
 				if ins.Op == ir.OpExt {
 					found := false
-					for j := range seg.exts {
-						if seg.exts[j].w == ins.W {
-							seg.exts[j].n++
+					for j := first; j < len(exts); j++ {
+						if exts[j].w == ins.W {
+							exts[j].n++
 							found = true
 							break
 						}
 					}
 					if !found {
-						seg.exts = append(seg.exts, extCount{w: ins.W, n: 1})
+						exts = append(exts, extCount{w: ins.W, n: 1})
 					}
 				}
+			}
+			if len(exts) > first {
+				seg.exts = exts[first:len(exts):len(exts)]
 			}
 			segID := int32(len(bf.segs))
 			bf.segs = append(bf.segs, seg)
 			bf.fast = append(bf.fast, bcIns{h: hSeg, tok: tokSeg, t0: segID})
 
 			for i := segStart; i < segEnd; {
-				fused, n := fuse(instrs, i, segEnd, origIdx, brIdx)
+				fused, n := fuse(instrs, i, segEnd, origIdx, aux)
 				if n == 0 {
-					fused = encodeOne(instrs[i], origIdx[instrs[i]], brIdx, callIdx)
+					fused = encodeOne(instrs[i], origIdx[instrs[i].ID], aux[instrs[i].ID])
 					n = 1
 				}
 				pc := int32(len(bf.fast))
@@ -121,19 +165,49 @@ func compileBC(prog *ir.Program, fn *ir.Func) *bcFunc {
 		}
 	}
 	for _, p := range patches {
+		id := p.blk.ID
+		if id < 0 || id >= nB || blockStart[id] < 0 {
+			return nil // a successor outside the function
+		}
 		if p.taken {
-			bf.fast[p.pc].t0 = blockStart[p.blk]
+			bf.fast[p.pc].t0 = blockStart[id]
 		} else {
-			bf.fast[p.pc].t1 = blockStart[p.blk]
+			bf.fast[p.pc].t1 = blockStart[id]
 		}
 	}
 	return bf
 }
 
+// carefulCode returns the careful array: 1:1 with origs, unfused, no
+// accounting tokens (the careful loop accounts inline). Only a run whose
+// step limit falls inside a segment needs it, so it is built on first use,
+// once per bcFunc however many runs share it. Branch targets stay zero —
+// careful mode provably traps before any terminator executes.
+func (bf *bcFunc) carefulCode() []bcIns {
+	bf.carefulOnce.Do(func() {
+		careful := make([]bcIns, len(bf.origs))
+		var nBr, nCall int32
+		for k, ins := range bf.origs {
+			var aux int32
+			switch ins.Op {
+			case ir.OpBr, ir.OpFBr:
+				aux, nBr = nBr, nBr+1
+			case ir.OpCall:
+				aux, nCall = nCall, nCall+1
+			}
+			careful[k] = encodeOne(ins, int32(k), aux)
+		}
+		bf.careful = careful
+	})
+	return bf.careful
+}
+
 // fuse tries the superinstruction patterns at instrs[i] (longest first,
 // within [i, segEnd)). It returns the fused encoding and the number of
 // constituent instructions, or n == 0 when nothing matches.
-func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32) (bcIns, int) {
+//
+// origIdx and aux are compileBC's Instr.ID-indexed tables.
+func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, aux []int32) (bcIns, int) {
 	cur := instrs[i]
 	var nxt, nxt2 *ir.Instr
 	if i+1 < segEnd {
@@ -156,7 +230,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 			w: cur.W, w2: nxt.W, w3: nxt2.W, cond: nxt2.Cond,
 			dst: cur.Dst, a: cur.Srcs[0], b: cur.Srcs[1], c: nxt.Dst,
 			x: nxt2.Srcs[0], y: nxt2.Srcs[1],
-			orig: origIdx[cur], prof: brIdx[nxt2],
+			orig: origIdx[cur.ID], prof: aux[nxt2.ID],
 		}, 3
 	}
 	// const + add reading the constant.
@@ -166,7 +240,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 			h: hConstAdd, tok: tokConstAdd,
 			w: nxt.W, imm: cur.Const,
 			c: cur.Dst, dst: nxt.Dst, a: nxt.Srcs[0], b: nxt.Srcs[1],
-			orig: origIdx[cur],
+			orig: origIdx[cur.ID],
 		}, 2
 	}
 	// const + aload indexed by the constant (the a[K] idiom). Skipped when an
@@ -178,7 +252,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 			h: hConstALoad, tok: tokConstALoad,
 			w: nxt.W, imm: cur.Const,
 			c: cur.Dst, dst: nxt.Dst, a: nxt.Srcs[0], b: nxt.Srcs[1],
-			orig: origIdx[cur],
+			orig: origIdx[cur.ID],
 		}, 2
 	}
 	// arith + ext of the result.
@@ -196,7 +270,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 				h: h, tok: tok,
 				w: cur.W, w2: nxt.W,
 				dst: cur.Dst, a: cur.Srcs[0], b: cur.Srcs[1], c: nxt.Dst,
-				orig: origIdx[cur],
+				orig: origIdx[cur.ID],
 			}, 2
 		case ir.OpLoadG:
 			if !cur.Float {
@@ -204,7 +278,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 					h: hLoadGExt, tok: tokLoadGExt,
 					w: cur.W, w2: nxt.W, imm: cur.Const,
 					dst: cur.Dst, c: nxt.Dst,
-					orig: origIdx[cur],
+					orig: origIdx[cur.ID],
 				}, 2
 			}
 		case ir.OpArrLoad:
@@ -213,7 +287,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 					h: hArrLoadExt, tok: tokArrLoadExt,
 					w: cur.W, w2: nxt.W,
 					dst: cur.Dst, a: cur.Srcs[0], b: cur.Srcs[1], c: nxt.Dst,
-					orig: origIdx[cur],
+					orig: origIdx[cur.ID],
 				}, 2
 			}
 		}
@@ -225,7 +299,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 			w: cur.W, w2: nxt.W, cond: nxt.Cond,
 			dst: cur.Dst, a: cur.Srcs[0],
 			x: nxt.Srcs[0], y: nxt.Srcs[1],
-			orig: origIdx[cur], prof: brIdx[nxt],
+			orig: origIdx[cur.ID], prof: aux[nxt.ID],
 		}, 2
 	}
 	// add/sub + br.
@@ -239,7 +313,7 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 			w: cur.W, w2: nxt.W, cond: nxt.Cond,
 			dst: cur.Dst, a: cur.Srcs[0], b: cur.Srcs[1],
 			x: nxt.Srcs[0], y: nxt.Srcs[1],
-			orig: origIdx[cur], prof: brIdx[nxt],
+			orig: origIdx[cur.ID], prof: aux[nxt.ID],
 		}, 2
 	}
 	// add + jmp (loop latch with the normalization already elided).
@@ -247,15 +321,17 @@ func fuse(instrs []*ir.Instr, i, segEnd int, origIdx, brIdx map[*ir.Instr]int32)
 		return bcIns{
 			h: hAddJmp, tok: tokAddJmp,
 			w: cur.W, dst: cur.Dst, a: cur.Srcs[0], b: cur.Srcs[1],
-			orig: origIdx[cur],
+			orig: origIdx[cur.ID],
 		}, 2
 	}
 	return bcIns{}, 0
 }
 
 // encodeOne returns the unfused encoding of ins. Branch targets are left for
-// the caller to patch (fast array) or unused (careful array).
-func encodeOne(ins *ir.Instr, orig int32, brIdx, callIdx map[*ir.Instr]int32) bcIns {
+// the caller to patch (fast array) or unused (careful array). aux is the
+// dense branch-counter index of a branch, the callee index of a call, and
+// unused otherwise.
+func encodeOne(ins *ir.Instr, orig, aux int32) bcIns {
 	in := bcIns{w: ins.W, cond: ins.Cond, fl: ins.Float, dst: ins.Dst,
 		a: ins.Srcs[0], b: ins.Srcs[1], c: ins.Srcs[2], orig: orig}
 	switch ins.Op {
@@ -318,7 +394,7 @@ func encodeOne(ins *ir.Instr, orig int32, brIdx, callIdx map[*ir.Instr]int32) bc
 	case ir.OpFCall:
 		in.h, in.tok = hFCall, tokFCall
 	case ir.OpCall:
-		in.h, in.tok, in.t0 = hCall, tokCall, callIdx[ins]
+		in.h, in.tok, in.t0 = hCall, tokCall, aux
 	case ir.OpRet:
 		in.h, in.tok = hRet, tokRet
 		if ins.NSrcs != 1 {
@@ -337,9 +413,9 @@ func encodeOne(ins *ir.Instr, orig int32, brIdx, callIdx map[*ir.Instr]int32) bc
 	case ir.OpArrLen:
 		in.h, in.tok = hArrLen, tokArrLen
 	case ir.OpBr:
-		in.h, in.tok, in.x, in.y, in.prof = hBr, tokBr, ins.Srcs[0], ins.Srcs[1], brIdx[ins]
+		in.h, in.tok, in.x, in.y, in.prof = hBr, tokBr, ins.Srcs[0], ins.Srcs[1], aux
 	case ir.OpFBr:
-		in.h, in.tok, in.x, in.y, in.prof = hFBr, tokFBr, ins.Srcs[0], ins.Srcs[1], brIdx[ins]
+		in.h, in.tok, in.x, in.y, in.prof = hFBr, tokFBr, ins.Srcs[0], ins.Srcs[1], aux
 	case ir.OpJmp:
 		in.h, in.tok = hJmp, tokJmp
 	case ir.OpTrap:
@@ -355,10 +431,63 @@ func encodeOne(ins *ir.Instr, orig int32, brIdx, callIdx map[*ir.Instr]int32) bc
 }
 
 // ---------------------------------------------------------------------------
-// Per-machine state: lazy compile cache, per-run cost/profile tables, pools.
+// Code handles, per-run state, pools.
 
-// bcFor returns fn's threaded state, compiling on first use, or nil when the
-// run uses the walker (switch dispatch, per-instruction hooks, or an
+// Code is a program's bytecode. NewCode flattens every function once; after
+// that the handle is never written, so any number of concurrent runs may
+// share it. What a run changes — cost tables, branch counters, segment
+// accounting — lives in that run's machine. Run uses an empty handle, whose
+// functions compile on first use for that run alone.
+type Code struct {
+	prog  *ir.Program
+	funcs map[*ir.Func]*bcFunc // nil value: irregular, runs on the walker
+}
+
+// NewCode compiles the bytecode of every function in prog. prog must not
+// change while the handle is in use.
+func NewCode(prog *ir.Program) *Code {
+	c := &Code{prog: prog, funcs: make(map[*ir.Func]*bcFunc, len(prog.Funcs))}
+	for _, fn := range prog.Funcs {
+		c.funcs[fn] = compileBC(prog, fn)
+	}
+	return c
+}
+
+// Run executes the handle's program exactly as the package-level Run does.
+func (c *Code) Run(entry string, opt Options) (*Result, error) {
+	return runCode(c, entry, opt)
+}
+
+// Bytes estimates the handle's resident size, for callers that charge it
+// against a memory bound. Careful arrays, built only by a run whose step
+// limit lands inside a segment, are not counted.
+func (c *Code) Bytes() int64 {
+	const ins = int64(unsafe.Sizeof(bcIns{}))
+	n := int64(64)
+	for _, bf := range c.funcs {
+		n += 64
+		if bf == nil {
+			continue
+		}
+		n += ins * int64(len(bf.fast))
+		n += 48*int64(len(bf.segs)) + 8*int64(len(bf.origs)+len(bf.brIDs))
+		n += 48 * int64(len(bf.callees))
+	}
+	return n
+}
+
+// funcCode returns fn's bytecode, nil for an irregular function: the
+// handle's copy when it has one, else a fresh compile that the caller keeps
+// for its run. This is the one place bytecode is built from.
+func (c *Code) funcCode(fn *ir.Func) *bcFunc {
+	if bf, ok := c.funcs[fn]; ok {
+		return bf
+	}
+	return compileBC(c.prog, fn)
+}
+
+// bcFor returns fn's threaded state, creating it on first use, or nil when
+// the run uses the walker (switch dispatch, per-instruction hooks, or an
 // irregular function).
 func (m *machine) bcFor(fn *ir.Func) *bcState {
 	if !m.threaded {
@@ -368,7 +497,7 @@ func (m *machine) bcFor(fn *ir.Func) *bcState {
 	if ok {
 		return st
 	}
-	if bf := compileBC(m.prog, fn); bf != nil {
+	if bf := m.code.funcCode(fn); bf != nil {
 		st = m.newBCState(bf)
 	}
 	if m.bc == nil {

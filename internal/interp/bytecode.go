@@ -32,6 +32,7 @@ package interp
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"signext/internal/ir"
 )
@@ -165,17 +166,21 @@ type bcSeg struct {
 	origEnd   int32 // exclusive
 }
 
-// bcFunc is the compiled form of one function (per machine, per run).
+// bcFunc is the compiled form of one function. Runs only read it — the one
+// exception, the careful array, is built at most once under carefulOnce — so
+// one bcFunc may serve many runs at once (see Code).
 type bcFunc struct {
 	fn       *ir.Func
 	fast     []bcIns // fused code with tokSeg accounting heads
-	careful  []bcIns // unfused, 1:1 with origs, per-instruction accounting
 	segs     []bcSeg
 	origs    []*ir.Instr
 	callees  []*ir.Func // nil if unresolved at compile time
 	argLists [][]ir.Reg
 	names    []string // callee names (error messages for unresolved)
 	brIDs    []int    // dense branch index -> instruction ID
+
+	carefulOnce sync.Once
+	careful     []bcIns // unfused, 1:1 with origs; see carefulCode
 }
 
 // bcState is bcFunc plus per-run state that depends on Options.
@@ -314,7 +319,7 @@ func hSeg(fr *bcFrame, in *bcIns, pc int) int {
 func (fr *bcFrame) runCareful(seg *bcSeg) int {
 	m := fr.m
 	fr.exact = true
-	code := fr.st.bf.careful
+	code := fr.st.bf.carefulCode()
 	for k := seg.origStart; k < seg.origEnd; k++ {
 		in := &code[k]
 		m.res.Steps++

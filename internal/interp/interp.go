@@ -183,7 +183,8 @@ type machine struct {
 	traceLimit int64 // resolved Options.TraceLimit
 	threaded   bool  // token-threaded dispatch enabled for this run
 
-	bc        map[*ir.Func]*bcState // lazy bytecode cache (nil value = walker)
+	code      *Code                 // where the run's bytecode comes from
+	bc        map[*ir.Func]*bcState // per-run threaded state (nil value = walker)
 	regPool   [][]slot              // recycled register files
 	framePool []*bcFrame            // recycled threaded frames
 }
@@ -193,7 +194,12 @@ type machine struct {
 // a detected miscompile; Result is still returned with the state accumulated
 // so far.
 func Run(prog *ir.Program, entry string, opt Options) (*Result, error) {
-	m := &machine{prog: prog, opt: opt, mode: opt.Mode, globals: make([]cell, prog.NGlobals)}
+	return runCode(&Code{prog: prog}, entry, opt)
+}
+
+func runCode(code *Code, entry string, opt Options) (*Result, error) {
+	prog := code.prog
+	m := &machine{prog: prog, code: code, opt: opt, mode: opt.Mode, globals: make([]cell, prog.NGlobals)}
 	for k, v := range opt.InitGlobals {
 		if k < len(m.globals) {
 			m.globals[k].i = v

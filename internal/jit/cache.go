@@ -90,16 +90,33 @@ func profileSignature(w *codecache.KeyWriter, fname string, p interp.Profile) {
 // the cache's byte bound. It intentionally overestimates slightly: pointer
 // and allocator overhead are real memory too.
 func payloadSize(p *cachePayload) int64 {
-	size := int64(256)
-	for _, b := range p.fn.Blocks {
+	size := int64(256) + funcBytes(p.fn)
+	size += 96 * int64(len(p.records))
+	size += 256 * int64(len(p.fallbacks))
+	return size
+}
+
+// funcBytes estimates the resident bytes of one function's IR.
+func funcBytes(fn *ir.Func) int64 {
+	var size int64
+	for _, b := range fn.Blocks {
 		size += 64
 		size += 16 * int64(len(b.Succs)+len(b.Preds))
 		for _, ins := range b.Instrs {
 			size += 112 + int64(len(ins.Callee)) + 8*int64(len(ins.Args))
 		}
 	}
-	size += 96 * int64(len(p.records))
-	size += 256 * int64(len(p.fallbacks))
+	return size
+}
+
+// ProgramBytes estimates the resident bytes of a compiled program with the
+// same per-function measure the cache charges its entries, for other
+// consumers of a shared codecache.Interface.
+func ProgramBytes(p *ir.Program) int64 {
+	size := int64(128)
+	for _, fn := range p.Funcs {
+		size += 128 + funcBytes(fn)
+	}
 	return size
 }
 

@@ -174,18 +174,18 @@ type Options struct {
 	Ctx context.Context
 }
 
-// ctxDone reports whether the compile's context (if any) has expired. A
-// deadline that has passed counts even before Err reports it: a timer-backed
-// context sets Err only once its timer goroutine runs, which on a loaded
-// machine can lag the deadline by milliseconds.
-func (o Options) ctxDone() bool {
-	if o.Ctx == nil {
-		return false
-	}
-	if o.Ctx.Err() != nil {
+// ctxDone reports whether the compile's context (if any) has expired.
+func (o Options) ctxDone() bool { return o.Ctx != nil && Expired(o.Ctx) }
+
+// Expired reports whether ctx is done or its deadline has passed. A deadline
+// that has passed counts even before Err reports it: a timer-backed context
+// sets Err only once its timer goroutine runs, which on a loaded machine can
+// lag the deadline by milliseconds.
+func Expired(ctx context.Context) bool {
+	if ctx.Err() != nil {
 		return true
 	}
-	d, ok := o.Ctx.Deadline()
+	d, ok := ctx.Deadline()
 	return ok && !time.Now().Before(d)
 }
 

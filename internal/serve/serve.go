@@ -287,6 +287,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // jit pipeline, optional execution. It returns a response and HTTP status;
 // only malformed input produces a non-200 — deadline exhaustion degrades,
 // runtime traps are reported faithfully in the body.
+//
+// With a cache, a request whose exact inputs compiled before, cleanly and
+// entirely from per-function hits, is answered from a request entry (see
+// entry.go): no frontend, no compile, no bytecode build. It still takes a
+// worker slot, sleeps FaultDelay and runs the program when asked to.
 func (s *Server) compile(reqCtx context.Context, req *CompileRequest) (*CompileResponse, int) {
 	start := time.Now()
 
@@ -306,25 +311,32 @@ func (s *Server) compile(reqCtx context.Context, req *CompileRequest) (*CompileR
 		}
 		machine = m
 	}
-
-	var prog *ir.Program
 	switch {
 	case req.Source != "" && req.IR != "":
 		return &CompileResponse{Error: "source and ir are mutually exclusive"}, http.StatusBadRequest
-	case req.Source != "":
-		cu, err := minijava.Compile(req.Source)
-		if err != nil {
-			return &CompileResponse{Error: "minijava: " + err.Error()}, http.StatusBadRequest
+	case req.Source == "" && req.IR == "":
+		return &CompileResponse{Error: "one of source or ir is required"}, http.StatusBadRequest
+	}
+	maxSteps := s.cfg.MaxSteps
+	if req.MaxSteps > 0 {
+		maxSteps = req.MaxSteps
+	}
+
+	var key codecache.Key
+	var hit *requestEntry
+	if s.cache != nil {
+		key = s.requestKey(req, variant, machine, maxSteps)
+		if v, ok := s.cache.Get(key); ok {
+			hit = v.(*requestEntry)
 		}
-		prog = cu.Prog
-	case req.IR != "":
-		p, err := ir.ParseProgram(req.IR)
-		if err != nil {
-			return &CompileResponse{Error: "ir: " + err.Error()}, http.StatusBadRequest
+	}
+	var prog *ir.Program
+	if hit == nil {
+		p, resp := frontend(req)
+		if resp != nil {
+			return resp, http.StatusBadRequest
 		}
 		prog = p
-	default:
-		return &CompileResponse{Error: "one of source or ir is required"}, http.StatusBadRequest
 	}
 
 	deadline := s.cfg.DefaultDeadline
@@ -348,58 +360,83 @@ func (s *Server) compile(reqCtx context.Context, req *CompileRequest) (*CompileR
 		}
 	}
 
-	maxSteps := s.cfg.MaxSteps
-	if req.MaxSteps > 0 {
-		maxSteps = req.MaxSteps
+	// A hit whose deadline has passed, or whose stored code fails the
+	// paranoid check, takes the full path: the frontend, then a compile
+	// that is floored or recompiles.
+	if hit != nil && (jit.Expired(ctx) || !s.entryVerified(hit, key, machine)) {
+		hit = nil
+		p, resp := frontend(req)
+		if resp != nil {
+			return resp, http.StatusBadRequest
+		}
+		prog = p
 	}
 
-	opts := jit.Options{
-		Variant:     variant,
-		Machine:     machine,
-		MaxArrayLen: s.cfg.MaxArrayLen,
-		GeneralOpts: true,
-		Checked:     true,
-		Parallelism: 1, // concurrency comes from requests, not per-request fan-out
-		ElimBudget:  s.cfg.ElimBudget,
-		Cache:       s.cache,
-		Ctx:         ctx,
-	}
-	if req.WithProfile && ctx.Err() == nil {
-		// A failed profile run (trap, step limit) is not fatal: compile
-		// without order determination rather than refuse the request.
-		if p, err := jit.ProfileRun(prog, "main", maxSteps); err == nil {
-			opts.Profile = p
+	var resp *CompileResponse
+	var code *interp.Code
+	if hit != nil {
+		r := hit.resp
+		resp, prog, code = &r, hit.prog, hit.code
+	} else {
+		opts := jit.Options{
+			Variant:     variant,
+			Machine:     machine,
+			MaxArrayLen: s.cfg.MaxArrayLen,
+			GeneralOpts: true,
+			Checked:     true,
+			Parallelism: 1, // concurrency comes from requests, not per-request fan-out
+			ElimBudget:  s.cfg.ElimBudget,
+			Cache:       s.cache,
+			Ctx:         ctx,
+		}
+		if req.WithProfile && ctx.Err() == nil {
+			// A failed profile run (trap, step limit) is not fatal: compile
+			// without order determination rather than refuse the request.
+			if p, err := jit.ProfileRun(prog, "main", maxSteps); err == nil {
+				opts.Profile = p
+			}
+		}
+
+		res, err := jit.Compile(prog, opts)
+		if err != nil {
+			// Fatal pipeline errors mean malformed input that slipped past the
+			// front end (e.g. hand-written IR failing conversion).
+			return &CompileResponse{Error: "compile: " + err.Error()}, http.StatusBadRequest
+		}
+
+		resp = &CompileResponse{
+			Eliminated:    res.Stats.Eliminated,
+			Inserted:      res.Stats.Inserted,
+			StaticExts:    res.StaticExts,
+			Degraded:      len(res.Degraded) > 0 || len(res.Fallbacks) > 0,
+			DegradedFuncs: res.Degraded,
+			Fallbacks:     len(res.Fallbacks),
+		}
+		if res.CacheStats != nil {
+			resp.CacheHits = res.CacheStats.Hits
+			resp.CacheMisses = res.CacheStats.Misses
+		}
+		prog = res.Prog
+		if admit(res) {
+			code = s.store(key, res.Prog, resp)
 		}
 	}
 
-	res, err := jit.Compile(prog, opts)
-	if err != nil {
-		// Fatal pipeline errors mean malformed input that slipped past the
-		// front end (e.g. hand-written IR failing conversion).
-		return &CompileResponse{Error: "compile: " + err.Error()}, http.StatusBadRequest
-	}
-
-	resp := &CompileResponse{
-		Eliminated:    res.Stats.Eliminated,
-		Inserted:      res.Stats.Inserted,
-		StaticExts:    res.StaticExts,
-		Degraded:      len(res.Degraded) > 0 || len(res.Fallbacks) > 0,
-		DegradedFuncs: res.Degraded,
-		Fallbacks:     len(res.Fallbacks),
-	}
-	if res.CacheStats != nil {
-		resp.CacheHits = res.CacheStats.Hits
-		resp.CacheMisses = res.CacheStats.Misses
-	}
-
 	if req.Run {
-		out, rerr := interp.Run(res.Prog, "main", interp.Options{
+		ropts := interp.Options{
 			Mode:        interp.Mode64,
 			Machine:     machine,
 			Cost:        target.CostModel(machine),
 			MaxArrayLen: s.cfg.MaxArrayLen,
 			MaxSteps:    maxSteps,
-		})
+		}
+		var out *interp.Result
+		var rerr error
+		if code != nil {
+			out, rerr = code.Run("main", ropts)
+		} else {
+			out, rerr = interp.Run(prog, "main", ropts)
+		}
 		if rerr != nil {
 			resp.Trap = rerr.Error()
 		}
@@ -413,6 +450,23 @@ func (s *Server) compile(reqCtx context.Context, req *CompileRequest) (*CompileR
 
 	resp.WallNS = time.Since(start).Nanoseconds()
 	return resp, http.StatusOK
+}
+
+// frontend parses the request's MiniJava source or IR text. A non-nil
+// response is the 400 answer for input that does not parse.
+func frontend(req *CompileRequest) (*ir.Program, *CompileResponse) {
+	if req.Source != "" {
+		cu, err := minijava.Compile(req.Source)
+		if err != nil {
+			return nil, &CompileResponse{Error: "minijava: " + err.Error()}
+		}
+		return cu.Prog, nil
+	}
+	p, err := ir.ParseProgram(req.IR)
+	if err != nil {
+		return nil, &CompileResponse{Error: "ir: " + err.Error()}
+	}
+	return p, nil
 }
 
 // latRing is a fixed sliding window of recent request latencies; quantiles
