@@ -47,7 +47,7 @@ type cachePayload struct {
 // outcome.
 func cacheKey(fn *ir.Func, o Options) codecache.Key {
 	w := codecache.NewKeyWriter()
-	w.String("sxelim-func-v2")
+	w.String("sxelim-func-v3")
 	fp := fn.Fingerprint()
 	w.Bytes(fp[:])
 	w.String(fn.Name)
@@ -55,7 +55,6 @@ func cacheKey(fn *ir.Func, o Options) codecache.Key {
 	w.Uint64(uint64(o.Machine))
 	w.Int64(o.MaxArrayLen)
 	w.Bool(o.GeneralOpts)
-	w.Bool(o.Verify)
 	w.Bool(o.Checked)
 	w.Int64(int64(o.ElimBudget))
 	w.Bool(o.Peep)
@@ -170,8 +169,8 @@ func compileFuncCached(fn *ir.Func, o Options) funcOutcome {
 }
 
 // compileAndStore runs the real pipeline and stores the outcome under key.
-// Fatal outcomes (conversion or shallow-verifier failures) are not cached:
-// they abort the whole compile and carry context-dependent errors.
+// Fatal outcomes (conversion failures) are not cached: they abort the whole
+// compile and carry context-dependent errors.
 func compileAndStore(fn *ir.Func, o Options, key codecache.Key) funcOutcome {
 	out := compileFunc(fn, o)
 	if out.fatal != nil {

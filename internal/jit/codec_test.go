@@ -17,12 +17,13 @@ func TestPersistentCacheWarmIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Variant: All, GeneralOpts: true, Verify: true,
+	o := Options{Variant: All, GeneralOpts: true, Checked: true,
 		Cache: codecache.NewSpill(codecache.NewSharded(64<<20, 4), disk)}
 	cold, err := Compile(cu.Prog, o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkClean(t, "cold", cold)
 	if disk.Stats().Stores == 0 {
 		t.Fatal("cold compile persisted nothing")
 	}

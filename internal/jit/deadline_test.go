@@ -24,12 +24,13 @@ func TestDeadlineExpiredDegradesNeverWrong(t *testing.T) {
 
 	for _, par := range []int{1, 4} {
 		res, err := Compile(cu.Prog, Options{
-			Variant: All, GeneralOpts: true, Verify: true,
+			Variant: All, GeneralOpts: true, Checked: true,
 			Parallelism: par, Ctx: ctx,
 		})
 		if err != nil {
 			t.Fatalf("parallelism %d: degraded compile must not fail: %v", par, err)
 		}
+		checkClean(t, par, res)
 		if len(res.Degraded) != len(cu.Prog.Funcs) {
 			t.Fatalf("parallelism %d: Degraded = %v, want all %d functions", par, res.Degraded, len(cu.Prog.Funcs))
 		}

@@ -71,6 +71,23 @@ var variantNames = [numVariants]string{
 
 func (v Variant) String() string { return variantNames[v] }
 
+// variantFlags are the short spellings of the variants on command lines and
+// in daemon requests, in table order.
+var variantFlags = [numVariants]string{
+	"baseline", "genuse", "first", "basic", "insert", "order", "insert-order",
+	"array", "array-insert", "array-order", "all-pde", "all",
+}
+
+// ParseVariant resolves a short variant name ("all", "baseline", …).
+func ParseVariant(name string) (Variant, error) {
+	for v, flag := range variantFlags {
+		if flag == name {
+			return Variant(v), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown variant %q", name)
+}
+
 // config maps a variant onto the elimination phase switches.
 func (v Variant) config() (useElim bool, c extelim.Config) {
 	switch v {
@@ -104,7 +121,6 @@ type Options struct {
 	MaxArrayLen int64
 	GeneralOpts bool           // Figure 5 step (2); on for all paper rows
 	Profile     interp.Profile // branch profile for order determination
-	Verify      bool           // run the shallow IR verifier after each phase
 
 	// Parallelism is the number of worker goroutines the per-function phase
 	// pipelines fan out over. 0 selects runtime.GOMAXPROCS(0); 1 compiles
@@ -150,10 +166,10 @@ type Options struct {
 	// Cache, when non-nil, memoizes per-function compilation results in a
 	// shared, concurrency-safe LRU. Entries are content-addressed on the
 	// function's structural fingerprint plus its name and every option that
-	// influences compilation (variant, machine, array bound, general-opts /
-	// verify / checked switches, elimination budget, peephole switches and
-	// the function's branch-profile signature). A hit installs a clone of the cached
-	// optimized function and replays its statistics, counter telemetry
+	// influences compilation (variant, machine, array bound, general-opts and
+	// checked switches, elimination budget, peephole switches and the
+	// function's branch-profile signature). A hit installs a clone of the
+	// cached optimized function and replays its statistics, counter telemetry
 	// (walls zeroed; one "cache" record carries the true lookup cost) and
 	// fallback records, so warm results are bit-identical to cold ones. A
 	// non-nil PhaseHook bypasses the cache entirely. With
@@ -295,7 +311,7 @@ type funcOutcome struct {
 	records    []PhaseRecord
 	fallbacks  []*guard.PhaseError
 	replace    *ir.Func // restored snapshot or cached clone to install into Prog, nil if untouched
-	fatal      error    // conversion or shallow-verifier failure: abort compile
+	fatal      error    // conversion failure: abort compile
 	staticExts int
 	rewrites   int // peephole rule-table rewrites applied
 
@@ -319,166 +335,66 @@ func compileFuncFloor(fn *ir.Func, o Options) funcOutcome {
 }
 
 // compileFunc runs the per-function pipeline — conversion, general
-// optimizations, and the sign extension phase, each guarded — on fn. It
-// mutates fn (or, after a fallback, a restored clone) and never touches any
-// other function or the enclosing program, so it is safe to run one
-// compileFunc per function concurrently.
+// optimizations, and the sign extension phase — on fn. It mutates fn (or,
+// after a fallback, a restored clone) and never touches any other function
+// or the enclosing program, so it is safe to run one compileFunc per
+// function concurrently.
 func compileFunc(fn *ir.Func, o Options) funcOutcome {
-	var out funcOutcome
-	cur := fn // current version of the function; a fallback swaps in the snapshot
-
-	record := func(r PhaseRecord) { out.records = append(out.records, r) }
-
-	var verifyWall time.Duration
-	verify := func(after string) bool {
-		if !o.Verify {
-			return true
-		}
-		t0 := time.Now()
-		err := cur.Verify()
-		verifyWall += time.Since(t0)
-		if err != nil {
-			out.fatal = fmt.Errorf("after %s: %w", after, err)
-			return false
-		}
-		return true
-	}
-
-	// guarded runs one phase body under recover, with a pre-phase snapshot.
-	// On panic, on body error (budget exhaustion), or on deep-verifier
-	// rejection under Checked, the snapshot becomes the current function —
-	// the phase is disabled for this function only — and the failure is
-	// recorded. Reports whether the phase's effects were kept.
-	guarded := func(phase string, body func(f *ir.Func) error) bool {
-		f := cur
-		snap := f.Clone()
-		perr := guard.RunPhase(phase, f.Name, o.Variant.String(), "", func() error {
-			if o.PhaseHook != nil {
-				o.PhaseHook(phase, f)
-			}
-			if err := body(f); err != nil {
-				return err
-			}
-			if o.Checked {
-				return guard.VerifyFunc(f, o.Machine)
-			}
-			return nil
-		})
-		if perr == nil {
-			return true
-		}
-		perr.Snapshot = guard.Snapshot(f)
-		cur = snap
-		out.replace = snap
-		out.fallbacks = append(out.fallbacks, perr)
-		return false
-	}
-
-	// mustConvert runs a conversion body. Conversion is the correctness
-	// floor, so there is nothing to fall back to: a failure here is a hard,
-	// structured compile error.
-	mustConvert := func(phase string, body func(f *ir.Func)) bool {
-		f := cur
-		perr := guard.RunPhase(phase, f.Name, o.Variant.String(), "", func() error {
-			if o.PhaseHook != nil {
-				o.PhaseHook(phase, f)
-			}
-			body(f)
-			if o.Checked {
-				return guard.VerifyFunc(f, o.Machine)
-			}
-			return nil
-		})
-		if perr != nil {
-			perr.Snapshot = guard.Snapshot(f)
-			out.fatal = perr
-			return false
-		}
-		return true
-	}
+	p := &pipeline{o: o, cur: fn}
 
 	// Step (1): conversion for a 64-bit architecture. The "gen use"
 	// reference generates at the code generation phase instead, i.e. after
 	// the general optimizations.
 	if o.Variant != GenUse {
-		t0 := time.Now()
-		ok := mustConvert(PhaseConvert, func(f *ir.Func) {
+		if _, ok := p.run(PhaseConvert, true, func(f *ir.Func) error {
 			extelim.Convert64(f, o.Machine)
-		})
-		record(PhaseRecord{Func: fn.Name, Phase: PhaseConvert, Wall: time.Since(t0)})
-		if !ok {
-			return out
+			return nil
+		}); !ok {
+			return p.out
 		}
-	}
-	if !verify("conversion") {
-		return out
 	}
 
 	// Step (2): general optimizations.
 	if o.GeneralOpts {
-		t0 := time.Now()
-		kept := guarded(PhaseOpts, func(f *ir.Func) error {
+		p.run(PhaseOpts, false, func(f *ir.Func) error {
 			opt.Run(f)
 			return nil
 		})
-		record(PhaseRecord{Func: fn.Name, Phase: PhaseOpts, Wall: time.Since(t0), Fallback: !kept})
-		if !verify("general optimizations") {
-			return out
-		}
 	}
 	if o.Variant == GenUse {
-		t0 := time.Now()
-		ok := mustConvert(PhaseGenUse, func(f *ir.Func) {
+		if _, ok := p.run(PhaseGenUse, true, func(f *ir.Func) error {
 			extelim.ConvertGenUse(f, o.Machine)
-		})
-		record(PhaseRecord{Func: fn.Name, Phase: PhaseGenUse, Wall: time.Since(t0)})
-		if !ok {
-			return out
-		}
-		if !verify("gen-use conversion") {
-			return out
+			return nil
+		}); !ok {
+			return p.out
 		}
 	}
 
 	// Step (3): the sign extension phase. This is the phase the guardrails
 	// exist for: any failure falls back to the Convert64-only code above.
-	switch o.Variant {
-	case Baseline, GenUse:
-		// disabled
-	case FirstAlgorithm:
-		t0 := time.Now()
-		var n int
-		kept := guarded(PhaseSignExt, func(f *ir.Func) error {
-			n = extelim.FirstAlgorithm(f)
-			return nil
-		})
-		if kept {
-			out.stats.Eliminated += n
-		}
-		record(PhaseRecord{
-			Func: fn.Name, Phase: PhaseSignExt, Wall: time.Since(t0),
-			Eliminated: n, Fallback: !kept,
-		})
-	default:
+	if o.Variant != Baseline && o.Variant != GenUse {
 		_, c := o.Variant.config()
 		c.Machine = o.Machine
 		c.MaxArrayLen = o.MaxArrayLen
 		c.Profile = o.Profile
 		c.MaxWork = o.ElimBudget
-		t0 := time.Now()
 		var st extelim.Stats
-		kept := guarded(PhaseSignExt, func(f *ir.Func) error {
+		rec, kept := p.run(PhaseSignExt, false, func(f *ir.Func) error {
+			if o.Variant == FirstAlgorithm {
+				st.Eliminated = extelim.FirstAlgorithm(f)
+				return nil
+			}
 			st = extelim.Eliminate(f, c)
 			if st.BudgetExhausted {
 				return fmt.Errorf("guard: elimination work budget of %d exhausted", o.ElimBudget)
 			}
 			return nil
 		})
-		wall := time.Since(t0)
+		rec.Eliminated, rec.Inserted, rec.Dummies = st.Eliminated, st.Inserted, st.Dummies
 		if kept {
-			out.stats.Inserted += st.Inserted
-			out.stats.Dummies += st.Dummies
-			out.stats.Eliminated += st.Eliminated
+			p.out.stats.Inserted += st.Inserted
+			p.out.stats.Dummies += st.Dummies
+			p.out.stats.Eliminated += st.Eliminated
 		}
 		// The eliminator times its chain + value-range construction
 		// (extelim.Stats.ChainTime); split that out as its own record so the
@@ -486,56 +402,81 @@ func compileFunc(fn *ir.Func, o Options) funcOutcome {
 		// partition stays disjoint. A panicking phase loses its measurement
 		// (st is zero) — its whole wall lands in "signext", still counted
 		// exactly once.
-		chain := st.ChainTime
-		if chain > wall {
-			chain = wall
+		if chain := min(st.ChainTime, rec.Wall); chain > 0 {
+			rec.Wall -= chain
+			p.out.records = append(p.out.records, PhaseRecord{Func: fn.Name, Phase: PhaseChains, Wall: chain})
 		}
-		record(PhaseRecord{
-			Func: fn.Name, Phase: PhaseSignExt, Wall: wall - chain,
-			Eliminated: st.Eliminated, Inserted: st.Inserted, Dummies: st.Dummies,
-			Fallback: !kept,
-		})
-		if chain > 0 {
-			record(PhaseRecord{Func: fn.Name, Phase: PhaseChains, Wall: chain})
-		}
-	}
-	if !verify("sign extension phase") {
-		return out
 	}
 
 	// The rule-table peephole pass runs last, on the extension-minimal code:
 	// it consumes the value-range facts the elimination phase worked to make
 	// provable (a dividend's upper 32 bits known zero is what licenses the
-	// magic-number division rules). Guarded like every optimizer phase — a
-	// panic or verifier rejection restores the snapshot and the function
-	// keeps its pre-peep code.
+	// magic-number division rules).
 	if o.Peep {
-		t0 := time.Now()
 		var st peep.Stats
-		kept := guarded(PhasePeep, func(f *ir.Func) error {
-			st = peep.Run(f, peep.Config{
-				Machine:     o.Machine,
-				MaxArrayLen: o.MaxArrayLen,
-				Rules:       o.PeepRules,
-			})
+		rec, kept := p.run(PhasePeep, false, func(f *ir.Func) error {
+			st = peep.Run(f, peep.Config{Machine: o.Machine, MaxArrayLen: o.MaxArrayLen, Rules: o.PeepRules})
 			return nil
 		})
-		rec := PhaseRecord{Func: fn.Name, Phase: PhasePeep, Wall: time.Since(t0), Fallback: !kept}
 		if kept {
 			rec.Rewrites = st.Rewrites
-			out.rewrites += st.Rewrites
-		}
-		record(rec)
-		if !verify("peephole phase") {
-			return out
+			p.out.rewrites += st.Rewrites
 		}
 	}
 
-	if verifyWall > 0 {
-		record(PhaseRecord{Func: fn.Name, Phase: PhaseVerify, Wall: verifyWall})
+	p.out.staticExts = p.cur.CountOp(ir.OpExt)
+	return p.out
+}
+
+// pipeline is one function's trip through the phases of compileFunc.
+type pipeline struct {
+	o   Options
+	cur *ir.Func // current version of the function; a fallback swaps in the snapshot
+	out funcOutcome
+}
+
+// run is the one place a phase is run. It times the phase, calls PhaseHook,
+// runs body under guard.RunPhase and, under Checked, verifies the result with
+// guard.VerifyFunc. An optimizer phase first takes a snapshot of the
+// function: if the hook or body panics, the body returns an error (budget
+// exhaustion) or the verifier rejects its result, the snapshot becomes the
+// current function — the phase is disabled for this function only — and the
+// failure is recorded as a fallback. A conversion phase takes no snapshot:
+// conversion is the correctness floor, so there is nothing to fall back to
+// and its failure is fatal. run appends the phase's record and returns it
+// (valid until the next append) with whether the phase's effects were kept.
+func (p *pipeline) run(phase string, convert bool, body func(f *ir.Func) error) (*PhaseRecord, bool) {
+	t0 := time.Now()
+	f := p.cur
+	var snap *ir.Func
+	if !convert {
+		snap = f.Clone()
 	}
-	out.staticExts = cur.CountOp(ir.OpExt)
-	return out
+	perr := guard.RunPhase(phase, f.Name, p.o.Variant.String(), "", func() error {
+		if p.o.PhaseHook != nil {
+			p.o.PhaseHook(phase, f)
+		}
+		if err := body(f); err != nil {
+			return err
+		}
+		if p.o.Checked {
+			return guard.VerifyFunc(f, p.o.Machine)
+		}
+		return nil
+	})
+	if perr != nil {
+		perr.Snapshot = guard.Snapshot(f)
+		if convert {
+			p.out.fatal = perr
+		} else {
+			p.cur, p.out.replace = snap, snap
+			p.out.fallbacks = append(p.out.fallbacks, perr)
+		}
+	}
+	p.out.records = append(p.out.records, PhaseRecord{
+		Func: f.Name, Phase: phase, Wall: time.Since(t0), Fallback: perr != nil && !convert,
+	})
+	return &p.out.records[len(p.out.records)-1], perr == nil
 }
 
 // Compile clones src and compiles it under the given options. src itself is
@@ -596,22 +537,6 @@ func Compile(src *ir.Program, o Options) (*Result, error) {
 				Func: ProgramScope, Phase: PhaseVerify, Wall: verifyWall,
 			})
 		}
-		if o.Verify {
-			tv := time.Now()
-			var verr error
-			for _, fn := range prog.Funcs {
-				if err := fn.Verify(); err != nil {
-					verr = fmt.Errorf("after inlining: %w", err)
-					break
-				}
-			}
-			res.Telemetry = append(res.Telemetry, PhaseRecord{
-				Func: ProgramScope, Phase: PhaseVerify, Wall: time.Since(tv),
-			})
-			if verr != nil {
-				return nil, verr
-			}
-		}
 	}
 
 	// Fan the per-function pipelines out. Workers write only their own slot
@@ -642,8 +567,8 @@ func Compile(src *ir.Program, o Options) (*Result, error) {
 	}
 
 	// Deterministic merge, in function order. A fatal outcome (conversion
-	// failure or shallow-verifier rejection) aborts with the lowest-index
-	// function's error — the same one a sequential compile hits first.
+	// failure) aborts with the lowest-index function's error — the same one
+	// a sequential compile hits first.
 	for i := range outs {
 		if err := outs[i].fatal; err != nil {
 			return nil, err

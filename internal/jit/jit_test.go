@@ -29,15 +29,26 @@ func compileSrc(t *testing.T) *minijava.CompileUnit {
 	return cu
 }
 
+// checkClean fails the test if a Checked compile fell back anywhere: on
+// healthy input every phase must pass the deep verifier.
+func checkClean(t *testing.T, what any, res *Result) {
+	t.Helper()
+	if len(res.Fallbacks) > 0 {
+		t.Fatalf("%v: phase fell back: %v", what, res.Fallbacks[0])
+	}
+}
+
 // TestSourceNeverMutated: Compile must clone; the input program stays in its
 // 32-bit form across all variants.
 func TestSourceNeverMutated(t *testing.T) {
 	cu := compileSrc(t)
 	before := cu.Prog.Func("main").Format()
 	for _, v := range Variants {
-		if _, err := Compile(cu.Prog, Options{Variant: v, GeneralOpts: true, Verify: true}); err != nil {
+		res, err := Compile(cu.Prog, Options{Variant: v, GeneralOpts: true, Checked: true})
+		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
+		checkClean(t, v, res)
 	}
 	if got := cu.Prog.Func("main").Format(); got != before {
 		t.Fatal("Compile mutated the source program")
@@ -52,10 +63,11 @@ func TestVariantMonotonicity(t *testing.T) {
 	}
 	counts := map[Variant]int64{}
 	for _, v := range Variants {
-		res, err := Compile(cu.Prog, Options{Variant: v, GeneralOpts: true, Verify: true})
+		res, err := Compile(cu.Prog, Options{Variant: v, GeneralOpts: true, Checked: true})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
+		checkClean(t, v, res)
 		out, err := Execute(res, "main")
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
@@ -96,10 +108,11 @@ func TestProfileRunFeedsOrdering(t *testing.T) {
 	if len(prof) == 0 {
 		t.Fatal("no profile collected")
 	}
-	res, err := Compile(cu.Prog, Options{Variant: All, GeneralOpts: true, Profile: prof, Verify: true})
+	res, err := Compile(cu.Prog, Options{Variant: All, GeneralOpts: true, Profile: prof, Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkClean(t, All, res)
 	out, err := Execute(res, "main")
 	if err != nil {
 		t.Fatal(err)

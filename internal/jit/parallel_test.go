@@ -50,13 +50,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 		for _, v := range Variants {
 			o := Options{
 				Variant: v, Machine: ir.IA64, GeneralOpts: true,
-				Profile: profile, Verify: true,
+				Profile: profile, Checked: true,
 			}
 			o.Parallelism = 1
 			seq, err := Compile(cu.Prog, o)
 			if err != nil {
 				t.Fatalf("%s/%v seq: %v", w.Name, v, err)
 			}
+			checkClean(t, w.Name, seq)
 			o.Parallelism = par
 			got, err := Compile(cu.Prog, o)
 			if err != nil {
@@ -78,12 +79,13 @@ func TestParallelMatchesSequentialPPC64(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		o := Options{Variant: All, Machine: ir.PPC64, GeneralOpts: true, Verify: true}
+		o := Options{Variant: All, Machine: ir.PPC64, GeneralOpts: true, Checked: true}
 		o.Parallelism = 1
 		seq, err := Compile(cu.Prog, o)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkClean(t, w.Name, seq)
 		o.Parallelism = 8
 		got, err := Compile(cu.Prog, o)
 		if err != nil {
@@ -106,11 +108,12 @@ func TestTimingPartition(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		for _, v := range []Variant{Baseline, GenUse, FirstAlgorithm, All} {
 			res, err := Compile(cu.Prog, Options{
-				Variant: v, GeneralOpts: true, Verify: true, Parallelism: parallelism,
+				Variant: v, GeneralOpts: true, Checked: true, Parallelism: parallelism,
 			})
 			if err != nil {
 				t.Fatalf("%v: %v", v, err)
 			}
+			checkClean(t, v, res)
 			var total, chains, signext, others int64
 			for _, r := range res.Telemetry {
 				total += int64(r.Wall)
@@ -153,10 +156,11 @@ func TestTimingPartition(t *testing.T) {
 // one conversion and one signext record per function.
 func TestTelemetrySortedAndComplete(t *testing.T) {
 	cu := compileSrc(t)
-	res, err := Compile(cu.Prog, Options{Variant: All, GeneralOpts: true, Verify: true, Parallelism: 4})
+	res, err := Compile(cu.Prog, Options{Variant: All, GeneralOpts: true, Checked: true, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkClean(t, All, res)
 	for i := 1; i < len(res.Telemetry); i++ {
 		if res.Telemetry[i-1].Func > res.Telemetry[i].Func {
 			t.Fatalf("telemetry not sorted by function: %q before %q",
@@ -188,7 +192,7 @@ func TestParallelFallbackDeterministic(t *testing.T) {
 	cu := compileSrc(t) // two functions: rnd and main
 	compile := func(par int) *Result {
 		res, err := Compile(cu.Prog, Options{
-			Variant: All, GeneralOpts: true, Verify: true, Parallelism: par,
+			Variant: All, GeneralOpts: true, Checked: true, Parallelism: par,
 			PhaseHook: func(phase string, fn *ir.Func) {
 				if phase == PhaseSignExt && fn != nil && fn.Name == "rnd" {
 					panic("forced signext failure")

@@ -127,10 +127,13 @@ func TestFuzzVariantsAgree(t *testing.T) {
 				// optimization layer (alternating to bound cost).
 				gen := seed%2 == 0 || v == jit.All
 				res, err := jit.Compile(cu.Prog, jit.Options{
-					Variant: v, Machine: mach, GeneralOpts: gen, Verify: true,
+					Variant: v, Machine: mach, GeneralOpts: gen, Checked: true,
 				})
 				if err != nil {
 					t.Fatalf("seed %d %v/%v: compile: %v\n%s", seed, mach, v, err, src)
+				}
+				if len(res.Fallbacks) > 0 {
+					t.Fatalf("seed %d %v/%v: phase fell back: %v\n%s", seed, mach, v, res.Fallbacks[0], src)
 				}
 				out, outErr := execLimited(res)
 				if (outErr != nil) != (refErr != nil) {

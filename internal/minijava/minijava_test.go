@@ -247,10 +247,13 @@ func TestAllVariantsAgree(t *testing.T) {
 	for _, mach := range []ir.Machine{ir.IA64, ir.PPC64} {
 		for _, v := range jit.Variants {
 			res, err := jit.Compile(cu.Prog, jit.Options{
-				Variant: v, Machine: mach, GeneralOpts: true, Verify: true,
+				Variant: v, Machine: mach, GeneralOpts: true, Checked: true,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: compile: %v", mach, v, err)
+			}
+			if len(res.Fallbacks) > 0 {
+				t.Fatalf("%s/%s: phase fell back: %v", mach, v, res.Fallbacks[0])
 			}
 			out, err := jit.Execute(res, "main")
 			if err != nil {

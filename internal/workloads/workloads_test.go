@@ -53,10 +53,13 @@ func TestWorkloadsSoundUnderOptimization(t *testing.T) {
 			counts := map[jit.Variant]int64{}
 			for _, v := range variants {
 				res, err := jit.Compile(cu.Prog, jit.Options{
-					Variant: v, Machine: ir.IA64, GeneralOpts: true, Verify: true,
+					Variant: v, Machine: ir.IA64, GeneralOpts: true, Checked: true,
 				})
 				if err != nil {
 					t.Fatalf("%s: compile: %v", v, err)
+				}
+				if len(res.Fallbacks) > 0 {
+					t.Fatalf("%s: phase fell back: %v", v, res.Fallbacks[0])
 				}
 				out, err := jit.Execute(res, "main")
 				if err != nil {
