@@ -49,11 +49,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	mach := ir.IA64
-	if *machine == "ppc64" {
-		mach = ir.PPC64
-	} else if *machine != "ia64" {
-		fmt.Fprintln(stderr, "benchtab: unknown machine", *machine)
+	mach, err := ir.ParseMachine(*machine)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchtab:", err)
 		return 2
 	}
 
@@ -95,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return r, nil
 	}
-	var err error
 	if needJB {
 		if jb, err = suite(workloads.JBYTEmark(), "jBYTEmark"); err != nil {
 			fmt.Fprintln(stderr, "benchtab:", err)

@@ -31,22 +31,8 @@ import (
 	"signext"
 	"signext/internal/interp"
 	"signext/internal/ir"
+	"signext/internal/jit"
 )
-
-var variantFlags = map[string]signext.Variant{
-	"baseline":     signext.VariantBaseline,
-	"genuse":       signext.VariantGenUse,
-	"first":        signext.VariantFirst,
-	"basic":        signext.VariantBasicUDDU,
-	"insert":       signext.VariantInsert,
-	"order":        signext.VariantOrder,
-	"insert-order": signext.VariantInsertOrder,
-	"array":        signext.VariantArray,
-	"array-insert": signext.VariantArrayInsert,
-	"array-order":  signext.VariantArrayOrder,
-	"all-pde":      signext.VariantAllPDE,
-	"all":          signext.VariantAll,
-}
 
 // usageError distinguishes command-line mistakes (exit 2) from input or
 // compilation failures (exit 1).
@@ -177,13 +163,13 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 		return res, err
 	}
 
-	mach := signext.IA64
-	if *machine == "ppc64" {
-		mach = signext.PPC64
+	mach, err := ir.ParseMachine(*machine)
+	if err != nil {
+		return usageError(err.Error())
 	}
-	v, ok := variantFlags[*variant]
-	if !ok {
-		return usageError("unknown variant " + *variant)
+	v, err := jit.ParseVariant(*variant)
+	if err != nil {
+		return usageError(err.Error())
 	}
 
 	writeProfile := func(p signext.Profile) error {

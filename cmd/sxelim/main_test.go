@@ -80,6 +80,9 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"no input file", []string{}, 2, "usage:"},
 		{"unknown variant", []string{"-variant", "nope", "testdata/narrow.mj"}, 2, "unknown variant"},
+		// Any machine name but the two models is a usage error, never a
+		// silent compile for ia64.
+		{"unknown machine", []string{"-machine", "ppc", "testdata/narrow.mj"}, 2, "unknown machine"},
 		{"unknown flag", []string{"-frobnicate"}, 2, ""},
 		{"missing file", []string{"testdata/no-such-file.mj"}, 1, "no such file"},
 		{"bad source", []string{"testdata/bad.mj"}, 1, "sxelim:"},

@@ -25,6 +25,8 @@ import (
 	"syscall"
 	"time"
 
+	"signext/internal/ir"
+	"signext/internal/jit"
 	"signext/internal/serve"
 )
 
@@ -63,12 +65,12 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal, ready c
 		return 2
 	}
 
-	v, err := serve.ParseVariant(*variant)
+	v, err := jit.ParseVariant(*variant)
 	if err != nil {
 		fmt.Fprintf(stderr, "sxelimd: %v\n", err)
 		return 2
 	}
-	m, err := serve.ParseMachine(*machine)
+	m, err := ir.ParseMachine(*machine)
 	if err != nil {
 		fmt.Fprintf(stderr, "sxelimd: %v\n", err)
 		return 2

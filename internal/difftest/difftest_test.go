@@ -167,6 +167,20 @@ func TestReproRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReproUnknownMachine: a reproducer naming a machine model that does not
+// exist is rejected rather than replayed on ia64.
+func TestReproUnknownMachine(t *testing.T) {
+	p, err := Generate(3, "ir", progen.Config{Stmts: 3, Funcs: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := (&Repro{Seed: 3, Kind: "ir", Prop: "oracle", Prog: p.Prog}).Marshal()
+	data = bytes.Replace(data, []byte("; machine: ia64"), []byte("; machine: ppc"), 1)
+	if _, err := ParseRepro(data); err == nil || !strings.Contains(err.Error(), "unknown machine") {
+		t.Fatalf("ParseRepro accepted an unknown machine: %v", err)
+	}
+}
+
 // TestCampaignSmoke runs a tiny campaign end to end and expects a clean
 // verdict.
 func TestCampaignSmoke(t *testing.T) {

@@ -67,9 +67,11 @@ func ParseRepro(data []byte) (*Repro, error) {
 		case "prop":
 			r.Prop = val
 		case "machine":
-			if val == "ppc64" {
-				r.Machine = ir.PPC64
+			m, err := ir.ParseMachine(val)
+			if err != nil {
+				return nil, fmt.Errorf("difftest: reproducer: %w", err)
 			}
+			r.Machine = m
 		case "chaos":
 			r.Chaos, _ = strconv.ParseInt(val, 10, 64)
 		case "rule":

@@ -1,5 +1,7 @@
 package ir
 
+import "fmt"
+
 // This file classifies how every opcode interacts with sign extension. The
 // classification drives both the paper's UD/DU-chain analyses (AnalyzeUSE /
 // AnalyzeDEF, section 2.3) and the first algorithm's backward dataflow.
@@ -317,4 +319,14 @@ func (m Machine) String() string {
 		return "ppc64"
 	}
 	return "ia64"
+}
+
+// ParseMachine resolves a machine model name, the inverse of String.
+func ParseMachine(name string) (Machine, error) {
+	for _, m := range []Machine{IA64, PPC64} {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown machine %q", name)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"signext/internal/jit"
 	"signext/internal/progen"
 )
 
@@ -21,7 +22,7 @@ func TestHelperProcessDaemon(t *testing.T) {
 	if os.Getenv("SXELIMD_HELPER") != "1" {
 		t.Skip("helper process only")
 	}
-	v, err := ParseVariant("all")
+	v, err := jit.ParseVariant("all")
 	if err != nil {
 		t.Fatal(err)
 	}

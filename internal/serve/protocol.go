@@ -10,13 +10,7 @@
 // kill -9.
 package serve
 
-import (
-	"fmt"
-
-	"signext/internal/codecache"
-	"signext/internal/ir"
-	"signext/internal/jit"
-)
+import "signext/internal/codecache"
 
 // CompileRequest is the body of POST /compile. Exactly one of Source
 // (MiniJava) or IR (signext IR text, ir.ParseProgram syntax) must be set.
@@ -24,7 +18,7 @@ type CompileRequest struct {
 	Source string `json:"source,omitempty"` // MiniJava source
 	IR     string `json:"ir,omitempty"`     // IR text; mutually exclusive with Source
 
-	Variant string `json:"variant,omitempty"` // short name (see ParseVariant); "" = server default
+	Variant string `json:"variant,omitempty"` // short name (see jit.ParseVariant); "" = server default
 	Machine string `json:"machine,omitempty"` // "ia64" or "ppc64"; "" = server default
 
 	// Run executes the compiled program on the 64-bit machine model and
@@ -105,41 +99,4 @@ type LatencyStats struct {
 	P50NS int64 `json:"p50_ns"`
 	P99NS int64 `json:"p99_ns"`
 	MaxNS int64 `json:"max_ns"`
-}
-
-// variantByFlag maps the short command-line spellings (shared with sxelim)
-// to pipeline variants.
-var variantByFlag = map[string]jit.Variant{
-	"baseline":     jit.Baseline,
-	"genuse":       jit.GenUse,
-	"first":        jit.FirstAlgorithm,
-	"basic":        jit.BasicUDDU,
-	"insert":       jit.Insert,
-	"order":        jit.Order,
-	"insert-order": jit.InsertOrder,
-	"array":        jit.Array,
-	"array-insert": jit.ArrayInsert,
-	"array-order":  jit.ArrayOrder,
-	"all-pde":      jit.AllPDE,
-	"all":          jit.All,
-}
-
-// ParseVariant resolves a short variant name ("all", "baseline", …).
-func ParseVariant(name string) (jit.Variant, error) {
-	v, ok := variantByFlag[name]
-	if !ok {
-		return 0, fmt.Errorf("unknown variant %q", name)
-	}
-	return v, nil
-}
-
-// ParseMachine resolves a machine model name.
-func ParseMachine(name string) (ir.Machine, error) {
-	switch name {
-	case "ia64":
-		return ir.IA64, nil
-	case "ppc64":
-		return ir.PPC64, nil
-	}
-	return 0, fmt.Errorf("unknown machine %q", name)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"signext/internal/interp"
+	"signext/internal/jit"
 	"signext/internal/minijava"
 	"signext/internal/workloads"
 )
@@ -19,7 +20,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	if cfg.Variant == 0 {
 		// Config zero value is jit.Baseline; the daemon default is All,
 		// which cmd/sxelimd sets explicitly. Tests want the full pipeline.
-		v, err := ParseVariant("all")
+		v, err := jit.ParseVariant("all")
 		if err != nil {
 			t.Fatal(err)
 		}
