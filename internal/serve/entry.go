@@ -10,9 +10,10 @@ import (
 
 // requestEntry is a request-level cache entry: everything a repeat of one
 // exact request needs short of running the program. It lives in the
-// server's codecache.Interface beside jit's per-function entries, so it
-// shares their byte bound, LRU, statistics and paranoid mode. jit's disk
-// codec declines it, so it is never persisted. Nothing writes an entry once
+// memory tier of the server's cache beside jit's per-function entries, so it
+// shares their byte bound, LRU, statistics and paranoid mode. It never
+// reaches the disk tier: it is not persisted, and its lookups cost no disk
+// read. Nothing writes an entry once
 // it is stored; concurrent hits share it.
 type requestEntry struct {
 	prog *ir.Program     // the compiled program
@@ -61,7 +62,7 @@ func admit(res *jit.Result) bool {
 // returning the bytecode for the storing request's own run.
 func (s *Server) store(key codecache.Key, prog *ir.Program, resp *CompileResponse) *interp.Code {
 	e := &requestEntry{prog: prog, code: interp.NewCode(prog), resp: *resp}
-	s.cache.Put(key, e, 256+jit.ProgramBytes(prog)+e.code.Bytes())
+	s.mem.Put(key, e, 256+jit.ProgramBytes(prog)+e.code.Bytes())
 	return e.code
 }
 
@@ -70,12 +71,12 @@ func (s *Server) store(key codecache.Key, prog *ir.Program, resp *CompileRespons
 // fails is rejected, counted in the cache's ParanoidRejects, and the caller
 // recompiles.
 func (s *Server) entryVerified(e *requestEntry, key codecache.Key, machine ir.Machine) bool {
-	if !s.cache.Paranoid() {
+	if !s.mem.Paranoid() {
 		return true
 	}
 	for _, fn := range e.prog.Funcs {
 		if guard.VerifyFunc(fn, machine) != nil {
-			s.cache.RejectParanoid(key)
+			s.mem.RejectParanoid(key)
 			return false
 		}
 	}

@@ -68,6 +68,34 @@ func newEntryServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// TestEntriesStayOffDisk: under CacheDir, request entries live in the memory
+// tier only. A fresh program costs one disk lookup per function (the
+// per-function cache) and none for its request key, and storing its request
+// entry leaves the disk store's skipped count alone.
+func TestEntriesStayOffDisk(t *testing.T) {
+	s := newEntryServer(t, Config{CacheDir: t.TempDir()})
+	src := daemonShaped(1)[0]
+	cu, err := minijava.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := CompileRequest{Source: src, Run: true}
+
+	before := s.disk.Stats()
+	ask(t, s, req) // cold: every function misses memory and disk
+	cold := s.disk.Stats()
+	if n := cold.LoadMisses - before.LoadMisses; n != uint64(len(cu.Prog.Funcs)) {
+		t.Errorf("fresh program cost %d disk load misses, want one per function (%d)", n, len(cu.Prog.Funcs))
+	}
+	ask(t, s, req) // all per-function hits: stores the request entry
+	if st := s.disk.Stats(); st.Skipped != cold.Skipped || st.LoadMisses != cold.LoadMisses {
+		t.Errorf("storing a request entry touched the disk store: before %+v, after %+v", cold, st)
+	}
+	if _, hit := askHit(t, s, req); !hit {
+		t.Error("third request not served from its request entry")
+	}
+}
+
 // TestEntryHitMatchesAllHitCompile: the first answer compiles cold, the
 // second compiles from per-function hits and stores the request entry, the
 // third is served from it. The entry's answer equals the all-hit compile's
