@@ -553,8 +553,9 @@ func dispatchCompare(sw *interp.Result, swErr error, th *interp.Result, thErr er
 // peepDetail compiles the program with the rule-table peephole pass enabled
 // and demands the reference build's observable behaviour: same trap, same
 // output, under both interpreter dispatchers. The pass must also never fall
-// back on valid input. Dynamic extension counts are out of scope: the
-// shift-ext rule may legitimately materialize extension instructions.
+// back on valid input, and since no rule materializes an extension, the
+// peeped build must execute no more dynamic 32-bit extensions than the
+// un-peeped build.
 func peepDetail(s *subject) string {
 	opts := s.opts
 	opts.Peep, opts.PeepRules = true, s.cfg.PeepRules
@@ -574,6 +575,10 @@ func peepDetail(s *subject) string {
 		}
 		if rerr == nil && out.Output != s.rep.RefOutput {
 			return fmt.Sprintf("dispatch %d output mismatch:\npeeped    %q\nreference %q", d, out.Output, s.rep.RefOutput)
+		}
+		if rerr == nil && s.rep.OptErr == nil && out.Ext32() > s.rep.OptExts {
+			return fmt.Sprintf("dispatch %d: peeped build executes %d dynamic 32-bit extensions, un-peeped build %d",
+				d, out.Ext32(), s.rep.OptExts)
 		}
 	}
 	return ""

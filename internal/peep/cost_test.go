@@ -46,8 +46,6 @@ func TestRuleCostModel(t *testing.T) {
 		"rem-pow2":     {35, 2, 35, 2},  // rem -> const+and
 		"div-magic":    {35, 10, 35, 8}, // div -> const+mul+const+lshr
 		"rem-magic":    {35, 19, 35, 15},
-		"shift-ext":    {2, 1, 2, 1}, // shl+ashr -> ext
-		"shift-mask":   {2, 2, 2, 2}, // shl+lshr -> const+and
 		"shl-shl":      {2, 2, 2, 2},
 		"mul-pow2":     {7, 2, 5, 2}, // mul -> const+shl
 		"mul-one":      {7, 1, 5, 1}, // mul -> mov

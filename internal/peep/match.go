@@ -240,8 +240,15 @@ func (m *Match) apply(rule *Rule) ([]*ir.Instr, bool) {
 	for i := range rule.Replace {
 		t := &rule.Replace[i]
 		w := t.W
-		if t.WF != nil {
-			w = t.WF(m)
+		var c int64
+		if t.Const != nil {
+			c = t.Const(m)
+			if w == 0 {
+				w = ir.W64
+				if ir.W32.InRange(c) {
+					w = ir.W32
+				}
+			}
 		}
 		if w == 0 {
 			w = anchor.W
@@ -249,9 +256,7 @@ func (m *Match) apply(rule *Rule) ([]*ir.Instr, bool) {
 		if i < len(rule.Replace)-1 {
 			ins := m.Fn.NewInstr(t.Op)
 			ins.W = w
-			if t.Const != nil {
-				ins.Const = t.Const(m)
-			}
+			ins.Const = c
 			for _, a := range t.Args {
 				ins.Srcs[ins.NSrcs] = lookup(a)
 				ins.NSrcs++
@@ -270,10 +275,7 @@ func (m *Match) apply(rule *Rule) ([]*ir.Instr, bool) {
 		anchor.Cond = 0
 		anchor.NSrcs = 0
 		anchor.Srcs = [3]ir.Reg{}
-		anchor.Const = 0
-		if t.Const != nil {
-			anchor.Const = t.Const(m)
-		}
+		anchor.Const = c
 		for _, a := range t.Args {
 			anchor.Srcs[anchor.NSrcs] = lookup(a)
 			anchor.NSrcs++

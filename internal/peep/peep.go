@@ -11,17 +11,16 @@ import (
 	"signext/internal/vrange"
 )
 
-// DefaultMaxRounds bounds the match-rewrite fixpoint. Rewrites strictly
-// simplify, so in practice two rounds reach the fixpoint; the cap only
-// defends against a pathological rule interaction.
-const DefaultMaxRounds = 4
+// maxRounds bounds the match-rewrite fixpoint. Rewrites strictly simplify,
+// so in practice two rounds reach the fixpoint; the cap only defends against
+// a pathological rule interaction.
+const maxRounds = 4
 
 // Config parameterizes one Run.
 type Config struct {
 	Machine     ir.Machine
 	MaxArrayLen int64
 	Rules       []string // rule-name filter; empty enables the whole table
-	MaxRounds   int      // 0 means DefaultMaxRounds
 }
 
 // Stats reports what one Run did.
@@ -69,10 +68,6 @@ func Run(fn *ir.Func, c Config) Stats {
 				enabled = append(enabled, &Rules[i])
 			}
 		}
-	}
-	maxRounds := c.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
 	}
 	st := Stats{ByRule: map[string]int{}}
 	for round := 0; round < maxRounds; round++ {

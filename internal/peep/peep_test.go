@@ -1,12 +1,16 @@
 package peep
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"signext/internal/cfg"
+	"signext/internal/chains"
 	"signext/internal/guard"
 	"signext/internal/interp"
 	"signext/internal/ir"
+	"signext/internal/vrange"
 )
 
 func runProg(t *testing.T, prog *ir.Program, mode interp.Mode, mach ir.Machine, d interp.Dispatch) string {
@@ -105,20 +109,21 @@ func TestBrFoldRemovesBranch(t *testing.T) {
 }
 
 // TestNoRedefinitionHazard pins the self-redefinition trap: in
-// `r = shl r, k; out = lshr r, k` the inner shl overwrites the register the
-// pattern variable names, so shift-mask must NOT fire (the replacement
-// would read the shifted value where the original read the unshifted one).
+// `r = shl r, a; out = shl r, b` the inner shl overwrites the register the
+// pattern variable names, so shl-shl must NOT fire (the replacement would
+// read the shifted value where the original read the unshifted one).
 func TestNoRedefinitionHazard(t *testing.T) {
 	src := `
 globals 1
 func main() {
 	b0:
-	r0 = const -1
+	r0 = const 3
 	storeg.64 g0 r0
 	r1 = loadg.64 g0
-	r2 = const 24
+	r2 = const 5
+	r4 = const 7
 	r1 = shl.64 r1 r2
-	r3 = lshr.64 r1 r2
+	r3 = shl.64 r1 r4
 	print.64 r3
 	ret
 }
@@ -129,18 +134,41 @@ func main() {
 	}
 	base := runProg(t, prog, interp.Mode64, ir.IA64, interp.DispatchSwitch)
 	rw := prog.Clone()
-	st := Run(rw.Func("main"), Config{Machine: ir.IA64, Rules: []string{"shift-mask"}})
+	st := Run(rw.Func("main"), Config{Machine: ir.IA64, Rules: []string{"shl-shl"}})
 	if st.Rewrites != 0 {
-		t.Fatalf("shift-mask fired across a redefinition: %+v", st.ByRule)
+		t.Fatalf("shl-shl fired across a redefinition: %+v", st.ByRule)
 	}
 	if got := runProg(t, rw, interp.Mode64, ir.IA64, interp.DispatchSwitch); got != base {
 		t.Fatalf("output changed: got %q want %q", got, base)
 	}
 }
 
-// TestSharedConstMismatch: shift-mask requires the same k on both shifts.
+// matchesAnywhere reports whether rule matches some instruction of fn.
+func matchesAnywhere(rule *Rule, fn *ir.Func) bool {
+	info := cfg.Compute(fn)
+	ch := chains.Build(fn, info)
+	an := vrange.Compute(fn, ch, info, ir.IA64, 0)
+	for _, b := range fn.Blocks {
+		for _, ins := range b.Instrs {
+			if matchRule(rule, ins, fn, an, ch, map[*ir.Instr]bool{}) != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestSharedConstMismatch: a constant name bound at two operands of one
+// pattern must hold the same value at both. No table rule repeats a name, so
+// a test-local rule, (x << k) >>u k, pins the binding.
 func TestSharedConstMismatch(t *testing.T) {
-	src := `
+	rule := &Rule{
+		Name:    "shift-round-trip",
+		Pattern: Pat{Op: ir.OpLShr, Args: []PatArg{psub(ir.OpShl, pv("x"), pc("k")), pc("k")}},
+		Widths:  anyWidth(),
+	}
+	for _, outer := range []int64{24, 16} {
+		prog, err := ir.ParseProgram(fmt.Sprintf(`
 globals 1
 func main() {
 	b0:
@@ -148,20 +176,19 @@ func main() {
 	storeg.64 g0 r0
 	r1 = loadg.64 g0
 	r2 = const 24
-	r3 = const 16
+	r3 = const %d
 	r4 = shl.64 r1 r2
 	r5 = lshr.64 r4 r3
 	print.64 r5
 	ret
 }
-`
-	prog, err := ir.ParseProgram(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := Run(prog.Func("main"), Config{Machine: ir.IA64, Rules: []string{"shift-mask"}})
-	if st.Rewrites != 0 {
-		t.Fatalf("shift-mask fired with mismatched shift amounts: %+v", st.ByRule)
+`, outer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := matchesAnywhere(rule, prog.Func("main")), outer == 24; got != want {
+			t.Errorf("shifts by 24 then %d: matched %v, want %v", outer, got, want)
+		}
 	}
 }
 
@@ -225,23 +252,24 @@ func main() {
 	}
 }
 
-// TestDeadPatternCleanup: the matched inner shl loses its only use and must
-// be gone after Run's between-round cleanup.
+// TestDeadPatternCleanup: each matched inner shl loses its only use and must
+// be gone after Run's between-round cleanup, leaving one shl per rewrite.
 func TestDeadPatternCleanup(t *testing.T) {
-	r := FindRule("shift-mask")
+	r := FindRule("shl-shl")
 	prog, err := ir.ParseProgram(GenProgram(r))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fn := prog.Func("main")
-	st := Run(fn, Config{Machine: ir.IA64, Rules: []string{"shift-mask"}})
+	before := fn.CountOp(ir.OpShl)
+	st := Run(fn, Config{Machine: ir.IA64, Rules: []string{"shl-shl"}})
 	if st.Rewrites == 0 {
-		t.Fatal("shift-mask did not fire")
+		t.Fatal("shl-shl did not fire")
 	}
 	if st.Removed == 0 {
 		t.Fatal("dead inner shifts were not cleaned up")
 	}
-	if n := fn.CountOp(ir.OpShl); n != 0 {
-		t.Fatalf("%d dead shl instructions remain", n)
+	if n := fn.CountOp(ir.OpShl); n != before-st.Rewrites {
+		t.Fatalf("%d shl instructions remain, want %d", n, before-st.Rewrites)
 	}
 }

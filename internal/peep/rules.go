@@ -54,13 +54,13 @@ type Guard struct {
 // RInstr is one instruction of a replacement template. Instructions are
 // emitted in order immediately before the anchor; the last one rewrites the
 // anchor in place (keeping its destination register), so its Dst must be
-// RDst. W == 0 means "the anchor's width"; WF, when set, computes the width
-// from the match. Const, when set, makes this an OpConst whose value is
-// resolved against the match bindings.
+// RDst. W == 0 means "the anchor's width". Const, when set, makes this an
+// OpConst whose value is resolved against the match bindings; with W == 0
+// its width is the narrowest of W32 and W64 that holds the value, so wide
+// magic multipliers are honestly annotated.
 type RInstr struct {
 	Op    ir.Op
 	W     ir.Width
-	WF    func(m *Match) ir.Width
 	Dst   string
 	Args  []string
 	Const func(m *Match) int64
@@ -126,18 +126,11 @@ func rop64(op ir.Op, dst string, args ...string) RInstr {
 }
 
 // rconst emits an OpConst holding the named match constant (bound by the
-// pattern or computed by a guard). The width is chosen at rewrite time so
-// wide magic multipliers are honestly annotated.
+// pattern or computed by a guard).
 func rconst(dst, name string) RInstr {
 	return RInstr{
-		Op:  ir.OpConst,
-		Dst: dst,
-		WF: func(m *Match) ir.Width {
-			if ir.W32.InRange(m.Const(name)) {
-				return ir.W32
-			}
-			return ir.W64
-		},
+		Op:    ir.OpConst,
+		Dst:   dst,
 		Const: func(m *Match) int64 { return m.Const(name) },
 	}
 }
@@ -291,57 +284,6 @@ var Rules = []Rule{
 			W:      ir.W32,
 			Consts: map[string]int64{"d": 10},
 			Inputs: map[string]GenIn{"x": {Mask: 0xfffff, Vals: []int64{6, 123456, 1048575}}},
-		},
-	},
-	{
-		Name:    "shift-ext",
-		Doc:     "(x << k) >>s k  =>  ext.(W-k) x  when W-k is a register subwidth",
-		Pattern: Pat{Op: ir.OpAShr, Args: []PatArg{psub(ir.OpShl, pv("x"), pc("k")), pc("k")}},
-		Widths:  anyWidth(),
-		Guards: []Guard{
-			{Name: "W-k is 8, 16 or 32", Fn: func(m *Match) bool {
-				k := m.Const("k")
-				ew := int64(m.W) - k
-				if ew != 8 && ew != 16 && ew != 32 {
-					return false
-				}
-				m.Set("ew", ew)
-				return true
-			}},
-		},
-		Replace: []RInstr{
-			{Op: ir.OpExt, Dst: RDst, Args: []string{"x"},
-				WF: func(m *Match) ir.Width { return ir.Width(m.Const("ew")) }},
-		},
-		Gen: GenSpec{
-			W:      ir.W64,
-			Consts: map[string]int64{"k": 32},
-			Inputs: map[string]GenIn{"x": {Vals: []int64{74565, -42, 255}}},
-		},
-	},
-	{
-		Name:    "shift-mask",
-		Doc:     "(x << k) >>u k  =>  x & (2^(W-k) - 1)",
-		Pattern: Pat{Op: ir.OpLShr, Args: []PatArg{psub(ir.OpShl, pv("x"), pc("k")), pc("k")}},
-		Widths:  anyWidth(),
-		Guards: []Guard{
-			{Name: "1 <= k <= W-1", Fn: func(m *Match) bool {
-				k := m.Const("k")
-				if k < 1 || k > int64(m.W)-1 {
-					return false
-				}
-				m.Set("mask", int64(m.W.Mask()>>uint(k)))
-				return true
-			}},
-		},
-		Replace: []RInstr{
-			rconst("mask", "mask"),
-			rop(ir.OpAnd, RDst, "x", "mask"),
-		},
-		Gen: GenSpec{
-			W:      ir.W64,
-			Consts: map[string]int64{"k": 24},
-			Inputs: map[string]GenIn{"x": {Vals: []int64{-1, 987654321, 77}}},
 		},
 	},
 	{
