@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -67,6 +68,30 @@ func TestForcedPhasePanicFallsBack(t *testing.T) {
 	if out.Ext32() != base.Ext32() {
 		t.Fatalf("fallback is not Convert64-only: %d dynamic extensions, baseline %d",
 			out.Ext32(), base.Ext32())
+	}
+}
+
+// TestConversionFailureIsFatal: conversion is the correctness floor, so a
+// failing conversion phase aborts the compile with a structured phase error
+// instead of falling back.
+func TestConversionFailureIsFatal(t *testing.T) {
+	cu := compileSrc(t)
+	for _, c := range []struct {
+		v     Variant
+		phase string
+	}{{All, PhaseConvert}, {GenUse, PhaseGenUse}} {
+		res, err := Compile(cu.Prog, Options{
+			Variant: c.v, GeneralOpts: true,
+			PhaseHook: func(phase string, fn *ir.Func) {
+				if phase == c.phase {
+					panic("injected conversion failure")
+				}
+			},
+		})
+		var perr *guard.PhaseError
+		if !errors.As(err, &perr) || perr.Phase != c.phase || perr.Panic == nil {
+			t.Fatalf("%v: want a %s phase error, got result %v, error %v", c.v, c.phase, res, err)
+		}
 	}
 }
 
