@@ -185,6 +185,22 @@ func TestElimBudgetFallsBack(t *testing.T) {
 			t.Fatalf("unexpected fallback: %v", fb)
 		}
 	}
+	// The discarded elimination's counters appear neither in Result.Stats
+	// nor in its signext record.
+	var elim, ins, dums int
+	for _, r := range res.Telemetry {
+		if r.Phase != PhaseSignExt {
+			continue
+		}
+		if r.Fallback && r.Eliminated+r.Inserted+r.Dummies != 0 {
+			t.Fatalf("fallback record carries discarded counters: %+v", r)
+		}
+		elim, ins, dums = elim+r.Eliminated, ins+r.Inserted, dums+r.Dummies
+	}
+	if elim != res.Stats.Eliminated || ins != res.Stats.Inserted || dums != res.Stats.Dummies {
+		t.Fatalf("signext records sum to eliminated=%d inserted=%d dummies=%d, Stats has %d, %d, %d",
+			elim, ins, dums, res.Stats.Eliminated, res.Stats.Inserted, res.Stats.Dummies)
+	}
 	out, err := Execute(res, "main")
 	if err != nil {
 		t.Fatal(err)

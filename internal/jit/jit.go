@@ -390,8 +390,8 @@ func compileFunc(fn *ir.Func, o Options) funcOutcome {
 			}
 			return nil
 		})
-		rec.Eliminated, rec.Inserted, rec.Dummies = st.Eliminated, st.Inserted, st.Dummies
 		if kept {
+			rec.Eliminated, rec.Inserted, rec.Dummies = st.Eliminated, st.Inserted, st.Dummies
 			p.out.stats.Inserted += st.Inserted
 			p.out.stats.Dummies += st.Dummies
 			p.out.stats.Eliminated += st.Eliminated
