@@ -507,9 +507,7 @@ func dispatchDetail(s *subject) string {
 		so := leg.opts
 		so.Dispatch = interp.DispatchSwitch
 		sw, swErr := interp.Run(leg.prog, "main", so)
-		to := leg.opts
-		to.Dispatch = interp.DispatchThreaded
-		th, thErr := interp.Run(leg.prog, "main", to)
+		th, thErr := interp.Run(leg.prog, "main", leg.opts)
 		if d := dispatchCompare(sw, swErr, th, thErr); d != "" {
 			return fmt.Sprintf("%s leg: %s", leg.name, d)
 		}
@@ -566,7 +564,7 @@ func peepDetail(s *subject) string {
 	for _, fb := range res.Fallbacks {
 		return fmt.Sprintf("peep pipeline fell back on valid input: %v", fb)
 	}
-	for _, d := range []interp.Dispatch{interp.DispatchSwitch, interp.DispatchThreaded} {
+	for _, d := range []interp.Dispatch{interp.DispatchSwitch, interp.DispatchAuto} {
 		out, rerr := interp.Run(res.Prog, "main", interp.Options{
 			Mode: interp.Mode64, Machine: s.mach, MaxSteps: s.cfg.MaxSteps, Dispatch: d,
 		})

@@ -55,7 +55,7 @@ func callHeavyProg(n int64) *ir.Program {
 func TestAllocsPerCallRegression(t *testing.T) {
 	small := callHeavyProg(10)
 	big := callHeavyProg(1000)
-	for _, d := range []Dispatch{DispatchSwitch, DispatchThreaded} {
+	for _, d := range []Dispatch{DispatchSwitch, DispatchAuto} {
 		run := func(p *ir.Program) float64 {
 			return testing.AllocsPerRun(5, func() {
 				if _, err := Run(p, "main", Options{Mode: Mode32, Profile: true, CountCalls: true, Dispatch: d}); err != nil {

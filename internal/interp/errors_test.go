@@ -119,7 +119,7 @@ func TestDivZeroNarrowWidths(t *testing.T) {
 		{"div-w16-3", ir.OpDiv, ir.W16, 3, false, "2\n"},
 	}
 	for _, tc := range cases {
-		for _, d := range []Dispatch{DispatchSwitch, DispatchThreaded} {
+		for _, d := range []Dispatch{DispatchSwitch, DispatchAuto} {
 			for _, mode := range []Mode{Mode32, Mode64} {
 				res, err := Run(narrowDivProg(tc.op, tc.w, tc.div), "main",
 					Options{Mode: mode, Dispatch: d})

@@ -87,7 +87,7 @@ func TestTraceLimitResolvedOnce(t *testing.T) {
 	if len(full) < 10 {
 		t.Fatalf("traceProg too short to exercise truncation: %d lines", len(full))
 	}
-	for _, d := range []Dispatch{DispatchSwitch, DispatchThreaded} {
+	for _, d := range []Dispatch{DispatchSwitch, DispatchAuto} {
 		for _, lim := range []int64{1, 5, int64(len(full)) - 1, int64(len(full)), int64(len(full)) + 7} {
 			lines := collectTrace(t, Options{Mode: Mode32, TraceLimit: lim, Dispatch: d})
 			want := int(lim)

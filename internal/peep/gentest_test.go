@@ -58,7 +58,7 @@ func TestGeneratedProgramsThroughJIT(t *testing.T) {
 				if res.PeepRewrites == 0 {
 					t.Fatalf("%v: rule %s did not fire inside the jit pipeline", mach, r.Name)
 				}
-				for _, d := range []interp.Dispatch{interp.DispatchSwitch, interp.DispatchThreaded} {
+				for _, d := range []interp.Dispatch{interp.DispatchSwitch, interp.DispatchAuto} {
 					got, err := interp.Run(res.Prog, "main", interp.Options{
 						Mode: interp.Mode64, Machine: mach, Dispatch: d,
 					})

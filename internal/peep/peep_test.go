@@ -52,7 +52,7 @@ func TestRuleRewritesFireAndPreserveOutput(t *testing.T) {
 				if err := guard.VerifyFunc(rw.Func("main"), mach); err != nil {
 					t.Fatalf("%s: rewritten function fails verification: %v", mach, err)
 				}
-				for _, d := range []interp.Dispatch{interp.DispatchSwitch, interp.DispatchThreaded} {
+				for _, d := range []interp.Dispatch{interp.DispatchSwitch, interp.DispatchAuto} {
 					if got := runProg(t, rw, interp.Mode64, mach, d); got != base {
 						t.Fatalf("%s dispatch %d: output diverged after %s\ngot  %q\nwant %q",
 							mach, d, r.Name, got, base)
