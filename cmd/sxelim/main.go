@@ -32,6 +32,7 @@ import (
 	"signext/internal/interp"
 	"signext/internal/ir"
 	"signext/internal/jit"
+	"signext/internal/minijava"
 )
 
 // usageError distinguishes command-line mistakes (exit 2) from input or
@@ -188,12 +189,15 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 		if *profileOut == "" {
 			return nil
 		}
-		p, err := func() (signext.Profile, error) {
-			if irProg != nil {
-				return signext.GatherProfile(irProg, 0)
+		prog := irProg
+		if prog == nil {
+			cu, err := minijava.Compile(src)
+			if err != nil {
+				return err
 			}
-			return signext.GatherProfileSource(src, 0)
-		}()
+			prog = cu.Prog
+		}
+		p, err := jit.ProfileRun(prog, "main", 0)
 		if err != nil {
 			return err
 		}

@@ -72,17 +72,13 @@ func RunSuite(ws []workloads.Workload, o Options) (*SuiteResult, error) {
 			return nil, fmt.Errorf("%s: reference run: %w", w.Name, err)
 		}
 		res.Reference = append(res.Reference, ref.Output)
-		var profile interp.Profile
-		if o.UseProfile {
-			profile = ref.Profile
-		}
 		for _, v := range o.Variants {
 			comp, err := jit.Compile(cu.Prog, jit.Options{
 				Variant:     v,
 				Machine:     o.Machine,
 				MaxArrayLen: o.MaxArrayLen,
 				GeneralOpts: true,
-				Profile:     profile,
+				Profile:     ref.Profile, // nil unless UseProfile
 				Parallelism: o.Parallelism,
 			})
 			if err != nil {

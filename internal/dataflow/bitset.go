@@ -81,13 +81,6 @@ func (s BitSet) Reset() {
 	}
 }
 
-// Fill sets the low n bits.
-func (s BitSet) Fill(n int) {
-	for i := 0; i < n; i++ {
-		s.Set(i)
-	}
-}
-
 // Count returns the number of set bits.
 func (s BitSet) Count() int {
 	n := 0

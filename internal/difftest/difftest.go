@@ -405,7 +405,7 @@ func checkProfile(s *subject) {
 			continue
 		}
 		sopts := topts
-		sopts.Profile = mgr.Profile().ToInterp()
+		sopts.Profile = mgr.Profile()
 		oneshot, err := jit.Compile(s.p.Prog, sopts)
 		if err != nil {
 			s.fail("one-shot profile compile (par=%d): %v", par, err)
@@ -483,10 +483,10 @@ func checkFixpoint(s *subject) {
 
 // dispatchDetail runs a program under both interpreter dispatchers and
 // demands bit-identical results: output, trap string, step count, cycles,
-// dynamic extension count, branch profile, and call counts.
+// dynamic extension count, and profile (entry and branch counts).
 // It checks the two configurations the system actually runs: the profiling
-// tier (Mode32, profile and call counting, on the source program) and the
-// optimized tier (Mode64, dummy checking, on the compiled program).
+// tier (Mode32 with a profile, on the source program) and the optimized tier
+// (Mode64, dummy checking, on the compiled program).
 func dispatchDetail(s *subject) string {
 	src, opt, mach, maxSteps := s.p.Prog, s.res.Prog, s.mach, s.cfg.MaxSteps
 	legs := []struct {
@@ -496,7 +496,7 @@ func dispatchDetail(s *subject) string {
 	}{
 		{"profiling-32", src, interp.Options{
 			Mode: interp.Mode32, Machine: mach, MaxSteps: maxSteps,
-			Profile: true, CountCalls: true, Cost: target.CostModel(mach),
+			Profile: true, Cost: target.CostModel(mach),
 		}},
 		{"optimized-64", opt, interp.Options{
 			Mode: interp.Mode64, Machine: mach, MaxSteps: maxSteps,
@@ -540,10 +540,7 @@ func dispatchCompare(sw *interp.Result, swErr error, th *interp.Result, thErr er
 		return fmt.Sprintf("dynamic extension count mismatch: switch %d, threaded %d", sw.Ext, th.Ext)
 	}
 	if !reflect.DeepEqual(sw.Profile, th.Profile) {
-		return fmt.Sprintf("branch profile mismatch:\nswitch %v\nthreaded %v", sw.Profile, th.Profile)
-	}
-	if !reflect.DeepEqual(sw.Calls, th.Calls) {
-		return fmt.Sprintf("call count mismatch:\nswitch %v\nthreaded %v", sw.Calls, th.Calls)
+		return fmt.Sprintf("profile mismatch:\nswitch %s\nthreaded %s", sw.Profile.Marshal(), th.Profile.Marshal())
 	}
 	return ""
 }

@@ -8,8 +8,8 @@ import (
 	"signext/internal/chains"
 	"signext/internal/dataflow"
 	"signext/internal/freq"
-	"signext/internal/interp"
 	"signext/internal/ir"
+	"signext/internal/profile"
 	"signext/internal/vrange"
 )
 
@@ -24,7 +24,7 @@ type Config struct {
 	Array  bool // elimination for array indices (section 3)
 	UsePDE bool // replace simple insertion with the PDE-style variant
 
-	Profile interp.Profile // optional dynamic branch profile for ordering
+	Profile profile.Profile // optional dynamic branch profile for ordering
 
 	// MaxWork caps the per-function analysis effort (counted in chain
 	// traversal queries, mirroring interp.MaxSteps). 0 means unlimited. On
@@ -435,34 +435,51 @@ func (e *eliminator) analyzeDEF1(ins *ir.Instr, w uint8) bool {
 		if w >= 32 && ins.W == ir.W32 {
 			switch ins.Op {
 			case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpNeg, ir.OpShl:
+				n := ins.NumUses()
+				if ins.Op == ir.OpShl {
+					n = 1 // the shift amount's upper bits are masked
+				}
 				r, ok := e.vr.OfDefRange(ins)
 				if ok && !r.IsBottom() &&
 					(r.Lo > math.MinInt32 || r.Hi < math.MaxInt32) &&
-					r.Within(math.MinInt32, math.MaxInt32) {
-					extended := true
-					for op := 0; op < ins.NumUses() && extended; op++ {
-						if ins.Op == ir.OpShl && op == 1 {
-							continue // the shift amount's upper bits are masked
-						}
-						defs := e.ch.UD(ins, op)
-						if len(defs) == 0 {
-							extended = false
-						}
-						for _, dd := range defs {
-							if e.analyzeDEF(dd, 32) {
-								extended = false
-								break
-							}
-						}
-					}
-					if extended {
-						return false
-					}
+					r.Within(math.MinInt32, math.MaxInt32) &&
+					e.sourcesExtended(ins, n, 32) {
+					return false
 				}
 			}
 		}
+		// A 32-bit sum or difference of registers that each hold a value
+		// sign-extended from at most 31 bits cannot leave the 32-bit band,
+		// so the 64-bit operation yields the exact, extended result. Unlike
+		// the range rule above, this reads only extension widths, so it
+		// still holds after an extension that supplied a range is removed:
+		// an or.8 of extended values is extended from 8 bits but has no
+		// range of its own, and without this rule a second Eliminate could
+		// not re-prove an add.32 over it (the fixpoint property).
+		if w >= 32 && ins.W == ir.W32 && (ins.Op == ir.OpAdd || ins.Op == ir.OpSub) &&
+			e.sourcesExtended(ins, 2, 31) {
+			return false
+		}
 		return true
 	}
+}
+
+// sourcesExtended reports whether each of the first n sources of ins has at
+// least one reaching definition and all of them produce values sign-extended
+// from w bits.
+func (e *eliminator) sourcesExtended(ins *ir.Instr, n int, w uint8) bool {
+	for op := 0; op < n; op++ {
+		defs := e.ch.UD(ins, op)
+		if len(defs) == 0 {
+			return false
+		}
+		for _, dd := range defs {
+			if e.analyzeDEF(dd, w) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // operandFullNonNeg reports whether operand k of ins is known, over the full

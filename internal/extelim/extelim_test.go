@@ -324,3 +324,35 @@ func TestFirstAlgorithmKeepsLatest(t *testing.T) {
 		t.Fatal("the latest extension must survive")
 	}
 }
+
+// TestNarrowSumOfExtendedSources: an add.32 or sub.32 whose sources are
+// sign-extended from at most 31 bits cannot wrap, so its extension goes
+// even when value ranges know nothing (narrow parameters range over the
+// whole 32-bit band), and stays when a source is a full 32-bit value.
+func TestNarrowSumOfExtendedSources(t *testing.T) {
+	build := func(op ir.Op, w2 ir.Width) *ir.Func {
+		b := ir.NewFunc("s", ir.Param{W: ir.W8}, ir.Param{W: w2})
+		s := b.Fn.NewReg()
+		b.OpTo(op, ir.W32, s, ir.Reg(0), ir.Reg(1))
+		b.Ext(ir.W32, s)
+		b.Ret(s)
+		b.Fn.RetW = ir.W32
+		return b.Fn
+	}
+	for _, tc := range []struct {
+		op   ir.Op
+		w2   ir.Width
+		want int // extensions left
+	}{
+		{ir.OpAdd, ir.W16, 0},
+		{ir.OpSub, ir.W16, 0},
+		{ir.OpAdd, ir.W32, 1},
+		{ir.OpSub, ir.W32, 1},
+	} {
+		fn := build(tc.op, tc.w2)
+		Eliminate(fn, Config{Machine: ir.IA64})
+		if got := fn.CountOp(ir.OpExt); got != tc.want {
+			t.Errorf("%v.32 of i8 and i%d: %d extensions left, want %d:\n%s", tc.op, tc.w2, got, tc.want, fn.Format())
+		}
+	}
+}

@@ -6,8 +6,9 @@
 // The estimate combines the loop nesting level of each block with the
 // execution frequency within its acyclic region derived from branch
 // probabilities. When a dynamic profile gathered by the interpreter tier is
-// available (the paper's combined interpreter and dynamic compiler [20]),
-// measured branch probabilities replace the static 50/50 guess.
+// available (a profile.Profile; the paper's combined interpreter and dynamic
+// compiler [20]), measured branch probabilities replace the static 50/50
+// guess.
 package freq
 
 import (
@@ -16,15 +17,8 @@ import (
 
 	"signext/internal/cfg"
 	"signext/internal/ir"
+	"signext/internal/profile"
 )
-
-// BranchProfile supplies dynamic taken/fall-through counts for the branch
-// terminating with frontend instruction id in function fn. Both
-// interp.Profile and profile.Profile satisfy it; a map-typed nil value is
-// fine (lookups return 0, 0 and the static heuristic takes over).
-type BranchProfile interface {
-	Counts(fn string, id int) (taken, fall int64)
-}
 
 // LoopScale is the assumed iteration count of one loop level in the static
 // estimate.
@@ -44,9 +38,9 @@ type Estimate struct {
 	Freq map[*ir.Block]float64
 }
 
-// Compute produces the frequency estimate. profile may be nil (purely static
-// estimation).
-func Compute(fn *ir.Func, info *cfg.Info, profile BranchProfile) *Estimate {
+// Compute produces the frequency estimate. prof may be nil (purely static
+// estimation); a branch it has no counts for gets the static heuristic.
+func Compute(fn *ir.Func, info *cfg.Info, prof profile.Profile) *Estimate {
 	e := &Estimate{Fn: fn, Freq: map[*ir.Block]float64{}}
 
 	// Raw branch probability of each conditional edge, before normalization.
@@ -55,8 +49,8 @@ func Compute(fn *ir.Func, info *cfg.Info, profile BranchProfile) *Estimate {
 			return 1
 		}
 		term := b.Term()
-		if profile != nil && term != nil {
-			taken, fall := profile.Counts(fn.Name, term.ID)
+		if term != nil {
+			taken, fall := prof.Counts(fn.Name, term.ID)
 			if taken > 0 || fall > 0 {
 				// Sum in float64: merged profiles saturate counts at
 				// MaxInt64, so the int64 sum can overflow negative and

@@ -8,6 +8,7 @@ import (
 	"signext/internal/interp"
 	"signext/internal/ir"
 	"signext/internal/minijava"
+	"signext/internal/profile"
 	"signext/internal/progen"
 )
 
@@ -203,12 +204,12 @@ func TestDuplicateEdgeMass(t *testing.T) {
 		t.Fatal("test premise broken: duplicate edge not built")
 	}
 
-	profile := interp.Profile{"f": {
-		entryBr.ID: {7, 3}, // split 0.7, colder 0.3
-		splitBr.ID: {1, 9}, // dup edges carry 0.1 and 0.9
-	}}
+	prof := profile.Profile{"f": {Branches: map[int]profile.Counts{
+		entryBr.ID: {Taken: 7, Fall: 3}, // split 0.7, colder 0.3
+		splitBr.ID: {Taken: 1, Fall: 9}, // dup edges carry 0.1 and 0.9
+	}}}
 	info := cfg.Compute(fn)
-	e := Compute(fn, info, profile)
+	e := Compute(fn, info, prof)
 
 	if got := e.Freq[dup]; math.Abs(got-0.7) > 1e-12 {
 		t.Errorf("dup-edge block frequency = %g, want 0.7 (mass of both edges)", got)
@@ -275,9 +276,9 @@ func TestEpsilonFloorProfileStarved(t *testing.T) {
 	fn := b.Fn
 
 	// The profile saw the entry branch 5 times and never took the loop arm.
-	profile := interp.Profile{"f": {entryBr.ID: {0, 5}}}
+	prof := profile.Profile{"f": {Branches: map[int]profile.Counts{entryBr.ID: {Taken: 0, Fall: 5}}}}
 	info := cfg.Compute(fn)
-	e := Compute(fn, info, profile)
+	e := Compute(fn, info, prof)
 	for _, blk := range info.RPO {
 		if e.Freq[blk] <= 0 {
 			t.Errorf("reached block %s has frequency %g, want > 0", blk, e.Freq[blk])
@@ -353,9 +354,9 @@ func buildDiamond() (*ir.Func, *ir.Block, *ir.Block, *ir.Block, *ir.Instr) {
 // back to the 50/50 static split.
 func TestSaturatedProfileNoOverflow(t *testing.T) {
 	fn, then, els, _, br := buildDiamond()
-	profile := interp.Profile{"f": {br.ID: {math.MaxInt64, 1}}}
+	prof := profile.Profile{"f": {Branches: map[int]profile.Counts{br.ID: {Taken: math.MaxInt64, Fall: 1}}}}
 	info := cfg.Compute(fn)
-	e := Compute(fn, info, profile)
+	e := Compute(fn, info, prof)
 	if e.Freq[then] < 0.999 {
 		t.Errorf("saturated taken count ignored: then=%g (static fallback would give 0.5)", e.Freq[then])
 	}
@@ -373,9 +374,9 @@ func TestProfileArmsNormalized(t *testing.T) {
 	fn, then, els, join, br := buildDiamond()
 	// These counts make float64(taken)/total + float64(fall)/total come out
 	// below 1 (0.99999999999999988…) before normalization.
-	profile := interp.Profile{"f": {br.ID: {2226407336114473942, 8407677068955557379}}}
+	prof := profile.Profile{"f": {Branches: map[int]profile.Counts{br.ID: {Taken: 2226407336114473942, Fall: 8407677068955557379}}}}
 	info := cfg.Compute(fn)
-	e := Compute(fn, info, profile)
+	e := Compute(fn, info, prof)
 	if got := e.Freq[then] + e.Freq[els]; got != 1 {
 		t.Errorf("arm probabilities sum to %.20g, want exactly 1", got)
 	}

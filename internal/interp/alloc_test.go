@@ -58,7 +58,7 @@ func TestAllocsPerCallRegression(t *testing.T) {
 	for _, d := range []Dispatch{DispatchSwitch, DispatchAuto} {
 		run := func(p *ir.Program) float64 {
 			return testing.AllocsPerRun(5, func() {
-				if _, err := Run(p, "main", Options{Mode: Mode32, Profile: true, CountCalls: true, Dispatch: d}); err != nil {
+				if _, err := Run(p, "main", Options{Mode: Mode32, Profile: true, Dispatch: d}); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"signext/internal/ir"
+	"signext/internal/profile"
 )
 
 const minInt64 = -1 << 63
@@ -349,8 +350,7 @@ func (m *machine) bcFor(fn *ir.Func) *bcState {
 }
 
 // newBCState evaluates the run's cost model once per instruction (Options.
-// Cost must be pure: segment accounting sums it ahead of execution order) and
-// sizes the dense branch counters.
+// Cost must be pure: segment accounting sums it ahead of execution order).
 func (m *machine) newBCState(bf *bcFunc) *bcState {
 	st := &bcState{bf: bf}
 	if m.opt.Cost != nil {
@@ -368,41 +368,24 @@ func (m *machine) newBCState(bf *bcFunc) *bcState {
 			st.segCost[si] = sum
 		}
 	}
-	if m.res.Profile != nil {
-		st.prof = make([][2]int64, len(bf.brIDs))
-	}
 	return st
 }
 
-// flushBCProfiles materializes the dense branch counters into Result.Profile
-// with the walker's exact shape: every entered function gets a map (possibly
-// empty), and counters exist only for branches that executed.
+// flushBCProfiles materializes the dense counters into Result.Profile with
+// the walker's exact shape: every function with a profiled entry gets a
+// FuncProfile, and branch counters exist only for branches that executed.
 func (m *machine) flushBCProfiles() {
-	if m.res.Profile == nil {
-		return
-	}
 	for fn, st := range m.bc {
-		if st == nil || !st.entered {
+		if st == nil || st.calls == 0 {
 			continue
 		}
-		pm := m.res.Profile[fn.Name]
-		if pm == nil {
-			pm = make(map[int]*[2]int64, len(st.bf.brIDs))
-			m.res.Profile[fn.Name] = pm
-		}
-		for bi := range st.prof {
-			c := &st.prof[bi]
-			if c[0] == 0 && c[1] == 0 {
-				continue
+		fp := &profile.FuncProfile{Calls: st.calls, Branches: make(map[int]profile.Counts, len(st.prof))}
+		for bi, c := range st.prof {
+			if c != [2]int64{} {
+				fp.Branches[st.bf.brIDs[bi]] = profile.Counts{Taken: c[0], Fall: c[1]}
 			}
-			p := pm[st.bf.brIDs[bi]]
-			if p == nil {
-				p = new([2]int64)
-				pm[st.bf.brIDs[bi]] = p
-			}
-			p[0] += c[0]
-			p[1] += c[1]
 		}
+		m.res.Profile[fn.Name] = fp
 	}
 }
 
@@ -438,6 +421,7 @@ func (m *machine) acquireFrame() *bcFrame {
 func (m *machine) releaseFrame(fr *bcFrame) {
 	fr.regs = nil
 	fr.st = nil
+	fr.prof = nil
 	fr.err = nil
 	m.framePool = append(m.framePool, fr)
 }

@@ -19,8 +19,9 @@
 //     ErrStepLimit (or an earlier trap) before reaching the segment's
 //     terminator, at exactly the walker's step count.
 //
-// Branch profiles are kept in dense per-function counter arrays and
-// materialized into Result.Profile maps when the run finishes.
+// Profiles are kept in dense per-function counters (entries and branch
+// outcomes of Mode32 frames) and materialized into Result.Profile when the
+// run finishes.
 //
 // Functions with a terminator anywhere but block-last position (irregular
 // after aggressive transforms) do not compile; callers fall back to the tree
@@ -160,8 +161,8 @@ type bcState struct {
 	bf      *bcFunc
 	cost    []int64    // per orig index; nil when Options.Cost is nil
 	segCost []int64    // per segment
-	prof    [][2]int64 // dense branch counters; nil when !Options.Profile
-	entered bool       // function executed at least once this run
+	prof    [][2]int64 // dense branch counters; nil until a profiled frame runs
+	calls   int64      // profiled (Mode32 under Options.Profile) entries
 }
 
 // bcFrame is one threaded call frame. Pooled on the machine: it escapes into
@@ -171,8 +172,9 @@ type bcFrame struct {
 	m     *machine
 	st    *bcState
 	regs  []slot
-	norm  bool // Mode32: narrow defs normalize
-	sload bool // memory loads sign-extend (Mode32 or PPC64)
+	prof  [][2]int64 // st.prof in a profiled frame, else nil
+	norm  bool       // Mode32: narrow defs normalize
+	sload bool       // memory loads sign-extend (Mode32 or PPC64)
 
 	segIdx     int32
 	baseSteps  int64
@@ -210,7 +212,6 @@ func evalBr(cond ir.Cond, w ir.Width, x, y int64) bool {
 // Execution
 
 func (m *machine) execBC(st *bcState, fn *ir.Func, caller []slot, argRegs []ir.Reg) (slot, error) {
-	st.entered = true
 	regs := m.acquireRegs(fn.NReg)
 	for k, r := range argRegs {
 		regs[k] = caller[r]
@@ -221,6 +222,13 @@ func (m *machine) execBC(st *bcState, fn *ir.Func, caller []slot, argRegs []ir.R
 	fr.regs = regs
 	fr.norm = m.mode == Mode32
 	fr.sload = m.mode == Mode32 || m.opt.Machine == ir.PPC64
+	if m.res.Profile != nil && fr.norm {
+		if st.prof == nil {
+			st.prof = make([][2]int64, len(st.bf.brIDs))
+		}
+		st.calls++
+		fr.prof = st.prof
+	}
 
 	code := st.bf.fast
 	pc := 0
@@ -715,11 +723,11 @@ func hArrLen(fr *bcFrame, in *bcIns, pc int) int {
 }
 
 func (fr *bcFrame) count(in *bcIns, taken bool) {
-	if fr.st.prof != nil {
+	if fr.prof != nil {
 		if taken {
-			fr.st.prof[in.prof][0]++
+			fr.prof[in.prof][0]++
 		} else {
-			fr.st.prof[in.prof][1]++
+			fr.prof[in.prof][1]++
 		}
 	}
 }

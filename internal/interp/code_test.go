@@ -31,7 +31,7 @@ func TestSharedCodeIdentity(t *testing.T) {
 			for _, limit := range []int64{0, 5000} {
 				opts = append(opts, Options{
 					Mode: mode, Machine: mach, Cost: target.CostModel(mach),
-					Profile: mode == Mode32, CountCalls: true, MaxSteps: limit,
+					Profile: mode == Mode32, MaxSteps: limit,
 				})
 			}
 		}

@@ -24,8 +24,8 @@ func runBoth(t *testing.T, prog *ir.Program, opt Options) (sw, th *Result, swErr
 }
 
 // assertIdentical requires every observable of the two runs to match: output,
-// error string, step and cycle totals, executed sign-extension counts,
-// branch profiles, and call counts.
+// error string, step and cycle totals, executed sign-extension counts, and
+// profiles (entry and branch counts).
 func assertIdentical(t *testing.T, label string, sw, th *Result, swErr, thErr error) {
 	t.Helper()
 	errStr := func(err error) string {
@@ -50,10 +50,7 @@ func assertIdentical(t *testing.T, label string, sw, th *Result, swErr, thErr er
 		t.Fatalf("%s: ext counts: switch %v, threaded %v", label, sw.Ext[8:33], th.Ext[8:33])
 	}
 	if !reflect.DeepEqual(sw.Profile, th.Profile) {
-		t.Fatalf("%s: branch profiles differ:\nswitch:   %v\nthreaded: %v", label, sw.Profile, th.Profile)
-	}
-	if !reflect.DeepEqual(sw.Calls, th.Calls) {
-		t.Fatalf("%s: call counts differ: switch %v, threaded %v", label, sw.Calls, th.Calls)
+		t.Fatalf("%s: profiles differ:\nswitch:   %s\nthreaded: %s", label, sw.Profile.Marshal(), th.Profile.Marshal())
 	}
 }
 
@@ -72,11 +69,10 @@ func TestDispatchIdentityWorkloads(t *testing.T) {
 			for _, mach := range []ir.Machine{ir.IA64, ir.PPC64} {
 				for _, mode := range []Mode{Mode32, Mode64} {
 					opt := Options{
-						Mode:       mode,
-						Machine:    mach,
-						Profile:    true,
-						CountCalls: true,
-						Cost:       target.CostModel(mach),
+						Mode:    mode,
+						Machine: mach,
+						Profile: true,
+						Cost:    target.CostModel(mach),
 					}
 					sw, th, swErr, thErr := runBoth(t, cu.Prog, opt)
 					label := fmt.Sprintf("%s/%v/mode%d", w.Name, mach, 64-32*int(mode))
@@ -142,11 +138,10 @@ func TestDispatchIdentityStepLimitSweep(t *testing.T) {
 	cost := target.CostModel(ir.IA64)
 	for lim := int64(1); lim <= full.Steps+1; lim++ {
 		opt := Options{
-			Mode:       Mode32,
-			MaxSteps:   lim,
-			Profile:    true,
-			CountCalls: true,
-			Cost:       cost,
+			Mode:     Mode32,
+			MaxSteps: lim,
+			Profile:  true,
+			Cost:     cost,
 		}
 		sw, th, swErr, thErr := runBoth(t, prog, opt)
 		assertIdentical(t, fmt.Sprintf("maxsteps=%d", lim), sw, th, swErr, thErr)
@@ -268,7 +263,7 @@ func TestDispatchIdentityTraps(t *testing.T) {
 	cost := target.CostModel(ir.IA64)
 	for name, prog := range cases {
 		for _, mode := range []Mode{Mode32, Mode64} {
-			opt := Options{Mode: mode, Profile: true, CountCalls: true, Cost: cost}
+			opt := Options{Mode: mode, Profile: true, Cost: cost}
 			sw, th, swErr, thErr := runBoth(t, prog, opt)
 			assertIdentical(t, fmt.Sprintf("%s/mode%d", name, mode), sw, th, swErr, thErr)
 			if swErr == nil {
@@ -332,10 +327,9 @@ func TestIrregularFunctionFallsBack(t *testing.T) {
 // runtime runs them, both dispatchers agree on every observable.
 func TestMixedTierDispatchIdentity(t *testing.T) {
 	sw, th, swErr, thErr := runBoth(t, stepLimitProg(), Options{
-		Mode:       Mode64,
-		Cost:       target.CostModel(ir.IA64),
-		Profile:    true,
-		CountCalls: true,
+		Mode:    Mode64,
+		Cost:    target.CostModel(ir.IA64),
+		Profile: true,
 		FuncMode: func(name string) Mode {
 			if name == "f" {
 				return Mode32
@@ -344,4 +338,11 @@ func TestMixedTierDispatchIdentity(t *testing.T) {
 		},
 	})
 	assertIdentical(t, "mixed tiers", sw, th, swErr, thErr)
+	// Only the Mode32 frames are profiled: f's 25 entries, nothing of main.
+	if fp := sw.Profile["f"]; fp == nil || fp.Calls != 25 {
+		t.Fatalf("f's profile = %+v, want 25 entries", fp)
+	}
+	if fp := sw.Profile["main"]; fp != nil {
+		t.Fatalf("Mode64 main was profiled: %+v", fp)
+	}
 }

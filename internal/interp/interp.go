@@ -14,9 +14,10 @@
 //     and 2 — and accumulates machine cycles under a pluggable cost model for
 //     the performance figures.
 //
-//   - Profiler: it records taken/fall-through counts for every conditional
-//     branch, reproducing the interpreter-collected profiles the paper feeds
-//     into order determination (section 2.2).
+//   - Profiler: in interpreter-tier (Mode32) frames it records entry counts
+//     and taken/fall-through counts for every conditional branch,
+//     reproducing the interpreter-collected profiles the paper feeds into
+//     order determination (section 2.2).
 package interp
 
 import (
@@ -27,6 +28,7 @@ import (
 	"strings"
 
 	"signext/internal/ir"
+	"signext/internal/profile"
 )
 
 // Mode selects the register semantics.
@@ -41,27 +43,21 @@ const (
 	Mode32
 )
 
-// Profile records per-branch execution counts: function name -> branch
-// instruction ID -> [taken, fall-through].
-type Profile map[string]map[int]*[2]int64
-
-// Counts bundles a branch's taken/fall-through totals.
-func (p Profile) Counts(fn string, id int) (taken, fall int64) {
-	if m := p[fn]; m != nil {
-		if c := m[id]; c != nil {
-			return c[0], c[1]
-		}
-	}
-	return 0, 0
-}
+// Profile is profile.Profile under the name older callers use.
+type Profile = profile.Profile
 
 // Options configures a run.
 type Options struct {
 	Mode         Mode
 	Machine      ir.Machine
 	MaxSteps     int64 // 0 means the default limit
-	Profile      bool  // collect branch profiles
 	CheckDummies bool  // verify ext.dummy assertions at runtime
+
+	// Profile collects Result.Profile: entry counts and branch outcomes of
+	// Mode32 frames only, the interpreter tier. A Mode64 (compiled) frame
+	// allocates no counters and counts nothing, since its instruction IDs
+	// do not key into the source program.
+	Profile bool
 
 	// Cost is the per-instruction cycle cost model. It must be pure (a
 	// function of the instruction alone): threaded dispatch evaluates it
@@ -69,8 +65,7 @@ type Options struct {
 	// segments at once, not in execution order.
 	Cost func(*ir.Instr) int64
 
-	MaxArrayLen int64   // language maximum array length (0 = 2^31-1)
-	InitGlobals []int64 // initial integer values for global cells
+	MaxArrayLen int64 // language maximum array length (0 = 2^31-1)
 
 	// Dispatch selects the execution engine. The default (DispatchAuto)
 	// runs token-threaded bytecode and falls back to the reference tree
@@ -89,10 +84,6 @@ type Options struct {
 	// returns (Mode32 normalizes every def; compiled code keeps the
 	// extensions the requiredness analysis demands at calls and returns).
 	FuncMode func(name string) Mode
-
-	// CountCalls records per-function entry counts in Result.Calls — the
-	// invocation half of the tiered runtime's hotness metric.
-	CountCalls bool
 
 	// OnDef, if set, observes every integer definition as it executes
 	// (instruction and the raw 64-bit register value written). Used by
@@ -124,9 +115,8 @@ type Result struct {
 	Output  string
 	Steps   int64
 	Cycles  int64
-	Ext     [65]int64 // dynamic executed OpExt count, indexed by width
-	Profile Profile
-	Calls   map[string]int64 // per-function entry counts (Options.CountCalls)
+	Ext     [65]int64       // dynamic executed OpExt count, indexed by width
+	Profile profile.Profile // Options.Profile; nil otherwise
 }
 
 // Ext32 returns the dynamically executed 32-bit sign extension count, the
@@ -200,11 +190,6 @@ func Run(prog *ir.Program, entry string, opt Options) (*Result, error) {
 func runCode(code *Code, entry string, opt Options) (*Result, error) {
 	prog := code.prog
 	m := &machine{prog: prog, code: code, opt: opt, mode: opt.Mode, globals: make([]cell, prog.NGlobals)}
-	for k, v := range opt.InitGlobals {
-		if k < len(m.globals) {
-			m.globals[k].i = v
-		}
-	}
 	m.maxLen = opt.MaxArrayLen
 	if m.maxLen == 0 {
 		m.maxLen = math.MaxInt32
@@ -225,10 +210,7 @@ func runCode(code *Code, entry string, opt Options) (*Result, error) {
 	// segment-batched fast path cannot deliver; they force the walker.
 	m.threaded = opt.Dispatch != DispatchSwitch && opt.Trace == nil && opt.OnDef == nil
 	if opt.Profile {
-		m.res.Profile = Profile{}
-	}
-	if opt.CountCalls {
-		m.res.Calls = map[string]int64{}
+		m.res.Profile = profile.Profile{}
 	}
 	fn := prog.Func(entry)
 	if fn == nil {
@@ -242,18 +224,15 @@ func runCode(code *Code, entry string, opt Options) (*Result, error) {
 
 // call sets up one frame: it resolves the function's semantic mode (tiered
 // runs mix Mode32 interpreter-tier and Mode64 compiled functions in one
-// program), counts the entry, picks the dispatch engine, and restores the
-// caller's mode on return. The callee reads its arguments directly from the
-// caller's register file (caller[argRegs[k]] lands in the callee's register
-// k), avoiding a per-call argument slice.
+// program), picks the dispatch engine, and restores the caller's mode on
+// return. The callee reads its arguments directly from the caller's register
+// file (caller[argRegs[k]] lands in the callee's register k), avoiding a
+// per-call argument slice.
 func (m *machine) call(fn *ir.Func, caller []slot, argRegs []ir.Reg) (slot, error) {
 	if m.maxDepth > 0 && m.depth >= m.maxDepth {
 		return slot{}, fmt.Errorf("%w: %d frames at call to %s", ErrDepth, m.depth, fn.Name)
 	}
 	m.depth++
-	if m.res.Calls != nil {
-		m.res.Calls[fn.Name]++
-	}
 	prev := m.mode
 	if m.opt.FuncMode != nil {
 		m.mode = m.opt.FuncMode(fn.Name)
@@ -276,8 +255,8 @@ func (m *machine) exec(fn *ir.Func, caller []slot, argRegs []ir.Reg) (slot, erro
 	for k, r := range argRegs {
 		regs[k] = caller[r]
 	}
-	var prof map[int]*[2]int64
-	if m.res.Profile != nil {
+	var prof *profile.FuncProfile
+	if m.res.Profile != nil && m.mode == Mode32 {
 		prof = m.res.Profile[fn.Name]
 		if prof == nil {
 			nbr := 0
@@ -286,9 +265,10 @@ func (m *machine) exec(fn *ir.Func, caller []slot, argRegs []ir.Reg) (slot, erro
 					nbr++
 				}
 			})
-			prof = make(map[int]*[2]int64, nbr)
+			prof = &profile.FuncProfile{Branches: make(map[int]profile.Counts, nbr)}
 			m.res.Profile[fn.Name] = prof
 		}
+		prof.Calls++
 	}
 	b := fn.Entry()
 	for {
@@ -505,16 +485,7 @@ func (m *machine) exec(fn *ir.Func, caller []slot, argRegs []ir.Reg) (slot, erro
 				// threaded dispatcher so the two engines cannot drift.
 				taken := evalBr(ins.Cond, ins.W, regs[ins.Srcs[0]].i, regs[ins.Srcs[1]].i)
 				if prof != nil {
-					c := prof[ins.ID]
-					if c == nil {
-						c = new([2]int64)
-						prof[ins.ID] = c
-					}
-					if taken {
-						c[0]++
-					} else {
-						c[1]++
-					}
+					countBranch(prof, ins.ID, taken)
 				}
 				if taken {
 					next = ins.Blk.Succs[0]
@@ -524,16 +495,7 @@ func (m *machine) exec(fn *ir.Func, caller []slot, argRegs []ir.Reg) (slot, erro
 			case ir.OpFBr:
 				taken := ins.Cond.EvalF(regs[ins.Srcs[0]].f, regs[ins.Srcs[1]].f)
 				if prof != nil {
-					c := prof[ins.ID]
-					if c == nil {
-						c = new([2]int64)
-						prof[ins.ID] = c
-					}
-					if taken {
-						c[0]++
-					} else {
-						c[1]++
-					}
+					countBranch(prof, ins.ID, taken)
 				}
 				if taken {
 					next = ins.Blk.Succs[0]
@@ -563,6 +525,15 @@ func (m *machine) exec(fn *ir.Func, caller []slot, argRegs []ir.Reg) (slot, erro
 			return slot{}, fmt.Errorf("interp: block %s fell through", b)
 		}
 		b = next
+	}
+}
+
+// countBranch records one outcome of branch id in the walker's profile.
+func countBranch(prof *profile.FuncProfile, id int, taken bool) {
+	if taken {
+		prof.Add(id, 1, 0)
+	} else {
+		prof.Add(id, 0, 1)
 	}
 }
 

@@ -268,9 +268,9 @@ func TestProfileCollection(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := int64(0)
-	for _, m := range r.Profile {
-		for _, c := range m {
-			total += c[0] + c[1]
+	for _, fp := range r.Profile {
+		for _, c := range fp.Branches {
+			total += c.Taken + c.Fall
 		}
 	}
 	if total != 10 {

@@ -117,8 +117,8 @@ func TestFuncModeRestoredAfterReturn(t *testing.T) {
 	}
 }
 
-// TestCountCalls: entry counts cover every frame, including recursive and
-// repeated calls, and stay nil when not requested.
+// TestCountCalls: the profile's entry counts cover every frame, including
+// repeated calls, and there is no profile when none was requested.
 func TestCountCalls(t *testing.T) {
 	prog := ir.NewProgram()
 
@@ -135,19 +135,22 @@ func TestCountCalls(t *testing.T) {
 	}
 	prog.AddFunc(main.Fn)
 
-	r, err := Run(prog, "main", Options{Mode: Mode32, CountCalls: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Calls["main"] != 1 || r.Calls["callee"] != 3 {
-		t.Fatalf("Calls = %v, want main:1 callee:3", r.Calls)
+	for _, d := range []Dispatch{DispatchAuto, DispatchSwitch} {
+		r, err := Run(prog, "main", Options{Mode: Mode32, Profile: true, Dispatch: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Profile["main"].Calls != 1 || r.Profile["callee"].Calls != 3 {
+			t.Fatalf("dispatch %d: Calls = main:%d callee:%d, want main:1 callee:3",
+				d, r.Profile["main"].Calls, r.Profile["callee"].Calls)
+		}
 	}
 
-	r, err = Run(prog, "main", Options{Mode: Mode32})
+	r, err := Run(prog, "main", Options{Mode: Mode32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Calls != nil {
-		t.Fatalf("Calls recorded without CountCalls: %v", r.Calls)
+	if r.Profile != nil {
+		t.Fatalf("profile recorded without Options.Profile: %s", r.Profile.Marshal())
 	}
 }

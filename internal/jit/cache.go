@@ -7,8 +7,8 @@ import (
 	"signext/internal/codecache"
 	"signext/internal/extelim"
 	"signext/internal/guard"
-	"signext/internal/interp"
 	"signext/internal/ir"
+	"signext/internal/profile"
 )
 
 // PhaseCache is the telemetry phase name recorded for a function whose
@@ -66,12 +66,16 @@ func cacheKey(fn *ir.Func, o Options) codecache.Key {
 	return w.Key()
 }
 
-// profileSignature mixes the function's branch profile into the key in a
+// profileSignature mixes the function's branch counts into the key in a
 // deterministic order: the same program compiled under a different profile
 // may legitimately pick a different surviving extension (order determination)
-// and must not share cache entries.
-func profileSignature(w *codecache.KeyWriter, fname string, p interp.Profile) {
-	m := p[fname]
+// and must not share cache entries. Entry counts stay out of the key, since
+// order determination never reads them.
+func profileSignature(w *codecache.KeyWriter, fname string, p profile.Profile) {
+	var m map[int]profile.Counts
+	if fp := p[fname]; fp != nil {
+		m = fp.Branches
+	}
 	w.Uint64(uint64(len(m)))
 	ids := make([]int, 0, len(m))
 	for id := range m {
@@ -80,8 +84,8 @@ func profileSignature(w *codecache.KeyWriter, fname string, p interp.Profile) {
 	sort.Ints(ids)
 	for _, id := range ids {
 		w.Int64(int64(id))
-		w.Int64(m[id][0])
-		w.Int64(m[id][1])
+		w.Int64(m[id].Taken)
+		w.Int64(m[id].Fall)
 	}
 }
 

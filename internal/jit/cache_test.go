@@ -7,7 +7,6 @@ import (
 
 	"signext/internal/codecache"
 	"signext/internal/guard"
-	"signext/internal/interp"
 	"signext/internal/ir"
 	"signext/internal/minijava"
 	"signext/internal/workloads"
@@ -256,20 +255,26 @@ func TestCacheProfileSignatureSeparation(t *testing.T) {
 		t.Fatalf("re-gathered identical profile did not hit every entry: %+v", warm.CacheStats)
 	}
 
+	// Entry counts are not part of the key: order determination never
+	// reads them.
+	calls := p2.Clone()
+	for _, fp := range calls {
+		fp.Calls++
+	}
+	co := o
+	co.Profile = calls
+	for _, fn := range cu.Prog.Funcs {
+		if cacheKey(fn, o) != cacheKey(fn, co) {
+			t.Errorf("%s: changed entry count changed the cache key", fn.Name)
+		}
+	}
+
 	// Mutate one branch count of one function: that function's key — and no
 	// other — must change.
-	mut := interp.Profile{}
-	for name, branches := range p2 {
-		mb := map[int]*[2]int64{}
-		for id, c := range branches {
-			cc := *c
-			mb[id] = &cc
-		}
-		mut[name] = mb
-	}
+	mut := p2.Clone()
 	victim := ""
 	for _, fn := range cu.Prog.Funcs {
-		if len(mut[fn.Name]) > 0 {
+		if fp := mut[fn.Name]; fp != nil && len(fp.Branches) > 0 {
 			victim = fn.Name
 			break
 		}
@@ -277,8 +282,9 @@ func TestCacheProfileSignatureSeparation(t *testing.T) {
 	if victim == "" {
 		t.Fatal("no function gathered branch counts")
 	}
-	for _, c := range mut[victim] {
-		c[0]++ // one extra taken edge
+	for id, c := range mut[victim].Branches {
+		c.Taken++ // one extra taken edge
+		mut[victim].Branches[id] = c
 		break
 	}
 	mo := o
@@ -342,7 +348,7 @@ func TestCacheKeySeparation(t *testing.T) {
 			for _, fn := range cu.Prog.Funcs {
 				with, without := o, o
 				without.Profile = nil
-				if len(profile[fn.Name]) > 0 && cacheKey(fn, with) == cacheKey(fn, without) {
+				if fp := profile[fn.Name]; fp != nil && len(fp.Branches) > 0 && cacheKey(fn, with) == cacheKey(fn, without) {
 					t.Errorf("profile: %s has branch counts but key ignores them", fn.Name)
 				}
 			}

@@ -32,6 +32,7 @@ import (
 	"signext/internal/ir"
 	"signext/internal/opt"
 	"signext/internal/peep"
+	"signext/internal/profile"
 	"signext/internal/target"
 )
 
@@ -119,8 +120,8 @@ type Options struct {
 	Variant     Variant
 	Machine     ir.Machine
 	MaxArrayLen int64
-	GeneralOpts bool           // Figure 5 step (2); on for all paper rows
-	Profile     interp.Profile // branch profile for order determination
+	GeneralOpts bool            // Figure 5 step (2); on for all paper rows
+	Profile     profile.Profile // branch profile for order determination
 
 	// Parallelism is the number of worker goroutines the per-function phase
 	// pipelines fan out over. 0 selects runtime.GOMAXPROCS(0); 1 compiles
@@ -660,8 +661,9 @@ func OracleCheck(src *ir.Program, res *Result, entry string) (*guard.Report, err
 }
 
 // ProfileRun executes the source (32-bit form) program in the interpreter
-// tier, collecting the branch statistics the dynamic compiler receives.
-func ProfileRun(src *ir.Program, entry string, maxSteps int64) (interp.Profile, error) {
+// tier, collecting the entry and branch counts the dynamic compiler receives
+// (maxSteps 0 = the interpreter's default budget).
+func ProfileRun(src *ir.Program, entry string, maxSteps int64) (profile.Profile, error) {
 	res, err := interp.Run(src, entry, interp.Options{
 		Mode:     interp.Mode32,
 		Profile:  true,

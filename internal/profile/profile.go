@@ -1,10 +1,10 @@
-// Package profile is the branch profile of the tiered runtime: per-function
-// entry counts and taken/fall-through counters gathered while code runs in
-// the interpreter tier. Profile is one plain value type: mergeable with
-// saturating adds, JSON-serializable with a deterministic byte encoding
-// (functions sorted by name, branches by instruction ID; sxelim -profile-out
-// / -profile-in), and directly usable as a freq.BranchProfile or, through
-// ToInterp, as the interp.Profile that jit.Options takes.
+// Package profile is the branch profile that order determination consumes:
+// per-function entry counts and taken/fall-through counters gathered while
+// code runs in the interpreter tier. Profile is the one value type from the
+// interpreter to the wire: interp.Result.Profile produces it, jit.Options,
+// extelim.Config and freq.Compute read it, it merges with saturating adds,
+// and it serializes with a deterministic byte encoding (functions sorted by
+// name, branches by instruction ID; sxelim -profile-out / -profile-in).
 //
 // Branch counters are keyed by the branch instruction's ID in the frontend
 // (32-bit form) program; ir.Func.Clone preserves IDs, so profiles gathered on
@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"signext/internal/interp"
 )
 
 // ErrInvalid is wrapped by every Unmarshal rejection, so callers can
@@ -43,12 +41,18 @@ type FuncProfile struct {
 	Branches map[int]Counts
 }
 
+// Add adds outcomes to branch id's counters, saturating at MaxInt64.
+func (fp *FuncProfile) Add(id int, taken, fall int64) {
+	c := fp.Branches[id]
+	fp.Branches[id] = Counts{Taken: satAdd(c.Taken, taken), Fall: satAdd(c.Fall, fall)}
+}
+
 // Profile is the serializable value form of a gathered profile: function
 // name -> counters. The zero value (nil) is a valid empty profile.
 type Profile map[string]*FuncProfile
 
-// Counts returns a branch's taken/fall-through totals, making Profile a
-// freq.BranchProfile.
+// Counts returns a branch's taken/fall-through totals (0, 0 for a branch or
+// function the profile has not seen).
 func (p Profile) Counts(fn string, id int) (taken, fall int64) {
 	if fp := p[fn]; fp != nil {
 		c := fp.Branches[id]
@@ -107,52 +111,8 @@ func (p Profile) Merge(other Profile) Profile {
 		}
 		fp.Calls = satAdd(fp.Calls, ofp.Calls)
 		for id, c := range ofp.Branches {
-			cur := fp.Branches[id]
-			fp.Branches[id] = Counts{
-				Taken: satAdd(cur.Taken, c.Taken),
-				Fall:  satAdd(cur.Fall, c.Fall),
-			}
+			fp.Add(id, c.Taken, c.Fall)
 		}
-	}
-	return p
-}
-
-// ToInterp converts to the interp.Profile form jit.Options.Profile and the
-// compile-cache key signature consume. Entry counts are dropped: order
-// determination only reads branch probabilities.
-func (p Profile) ToInterp() interp.Profile {
-	if p == nil {
-		return nil
-	}
-	out := interp.Profile{}
-	for name, fp := range p {
-		m := map[int]*[2]int64{}
-		for id, c := range fp.Branches {
-			m[id] = &[2]int64{c.Taken, c.Fall}
-		}
-		out[name] = m
-	}
-	return out
-}
-
-// FromInterp builds a Profile from one interpreter run's branch counters and
-// (optionally) its per-function call counts.
-func FromInterp(ip interp.Profile, calls map[string]int64) Profile {
-	p := Profile{}
-	for name, m := range ip {
-		fp := &FuncProfile{Branches: map[int]Counts{}}
-		for id, c := range m {
-			fp.Branches[id] = Counts{Taken: c[0], Fall: c[1]}
-		}
-		p[name] = fp
-	}
-	for name, n := range calls {
-		fp := p[name]
-		if fp == nil {
-			fp = &FuncProfile{Branches: map[int]Counts{}}
-			p[name] = fp
-		}
-		fp.Calls = satAdd(fp.Calls, n)
 	}
 	return p
 }

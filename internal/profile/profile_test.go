@@ -5,8 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"signext/internal/interp"
 )
 
 func sample() Profile {
@@ -107,25 +105,24 @@ func TestMergeSaturates(t *testing.T) {
 	}
 }
 
-func TestInterpConversions(t *testing.T) {
-	ip := interp.Profile{
-		"main": {4: &[2]int64{7, 3}},
+func TestWeightAndCounts(t *testing.T) {
+	p := Profile{
+		"main": {Calls: 2, Branches: map[int]Counts{4: {Taken: 7, Fall: 3}}},
+		"cold": {Calls: 1, Branches: map[int]Counts{}},
 	}
-	p := FromInterp(ip, map[string]int64{"main": 2, "cold": 1})
 	if got, want := p.Weight("main"), int64(2+7+3); got != want {
 		t.Fatalf("Weight = %d, want %d", got, want)
 	}
-	if p["cold"].Calls != 1 {
-		t.Fatalf("calls-only function lost: %+v", p["cold"])
-	}
-	back := p.ToInterp()
-	if got := back["main"][4]; got == nil || got[0] != 7 || got[1] != 3 {
-		t.Fatalf("ToInterp lost counts: %v", got)
+	if got := p.Weight("cold"); got != 1 {
+		t.Fatalf("calls-only Weight = %d, want 1", got)
 	}
 	if taken, fall := p.Counts("main", 4); taken != 7 || fall != 3 {
 		t.Fatalf("Counts = %d/%d", taken, fall)
 	}
 	if taken, fall := p.Counts("main", 99); taken != 0 || fall != 0 {
 		t.Fatalf("missing branch Counts = %d/%d, want 0/0", taken, fall)
+	}
+	if taken, fall := Profile(nil).Counts("main", 4); taken != 0 || fall != 0 {
+		t.Fatalf("nil profile Counts = %d/%d, want 0/0", taken, fall)
 	}
 }

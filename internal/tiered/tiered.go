@@ -9,8 +9,9 @@
 // conventions pass sign-extended narrow arguments and returns.
 //
 // A function's branch profile freezes at promotion: later runs execute its
-// compiled body, whose instruction IDs no longer correspond to the source
-// form, so the profile merges only interpreter-tier functions' counts.
+// compiled body in Mode64, whose frames the interpreter does not profile
+// (their instruction IDs no longer correspond to the source form), so each
+// run's profile holds only interpreter-tier functions' counts.
 // Because the compiler consumes only a function's own branch counts, the
 // body compiled at promotion time is bit-identical to one compiled later
 // with the final gathered profile — the invariant the difftest
@@ -141,12 +142,12 @@ func New(prog *ir.Program, cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Invoke executes the entry function once on the current tier mix,
-// accumulates the run's branch profile and call counts for every function
-// still in the interpreter tier, then promotes functions that crossed the
-// hotness threshold. The interp.Result is returned even when execution
-// trapped (the profile of the executed prefix still counts); promotion is
-// skipped on error.
+// Invoke executes the entry function once on the current tier mix, merges
+// the run's profile (entry and branch counts of the functions still in the
+// interpreter tier) into the gathered one, then promotes functions that
+// crossed the hotness threshold. The interp.Result is returned even when
+// execution trapped (the profile of the executed prefix still counts);
+// promotion is skipped on error.
 func (m *Manager) Invoke() (*interp.Result, error) {
 	m.tel.Invocations++
 	inv := m.tel.Invocations
@@ -158,7 +159,6 @@ func (m *Manager) Invoke() (*interp.Result, error) {
 		MaxArrayLen: m.cfg.Options.MaxArrayLen,
 		MaxSteps:    m.cfg.MaxSteps,
 		Profile:     true,
-		CountCalls:  true,
 		FuncMode: func(name string) interp.Mode {
 			if m.tier[name] == TierCompiled {
 				return interp.Mode64
@@ -167,15 +167,7 @@ func (m *Manager) Invoke() (*interp.Result, error) {
 		},
 	})
 	m.tel.InvokeWall += time.Since(t0)
-	// A compiled body's instruction IDs are not the source form's, so only
-	// interpreter-tier counts join the profile.
-	run := profile.FromInterp(res.Profile, res.Calls)
-	for name := range run {
-		if m.tier[name] == TierCompiled {
-			delete(run, name)
-		}
-	}
-	m.prof.Merge(run)
+	m.prof.Merge(res.Profile)
 	if err != nil {
 		return res, err
 	}
@@ -203,7 +195,7 @@ func (m *Manager) promote(inv int) error {
 		return nil
 	}
 	o := m.cfg.Options
-	o.Profile = m.prof.ToInterp()
+	o.Profile = m.prof
 	t0 := time.Now()
 	res, err := jit.Compile(m.src, o)
 	wall := time.Since(t0)
@@ -234,7 +226,7 @@ func (m *Manager) promote(inv int) error {
 // executing.
 func (m *Manager) Finalize() (*jit.Result, error) {
 	o := m.cfg.Options
-	o.Profile = m.prof.ToInterp()
+	o.Profile = m.Profile() // the result keeps its Options; later runs must not move them
 	return jit.Compile(m.src, o)
 }
 

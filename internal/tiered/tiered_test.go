@@ -125,7 +125,7 @@ func TestPromotionAndOutputIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	oneOpts := testOpts()
-	oneOpts.Profile = m.Profile().ToInterp()
+	oneOpts.Profile = m.Profile()
 	oneshot, err := jit.Compile(prog, oneOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -310,6 +310,34 @@ func TestProfileMergesInterpTierOnly(t *testing.T) {
 	}
 	if seed["main"].Calls != 5 {
 		t.Fatalf("manager wrote through to its seed: %+v", seed["main"])
+	}
+}
+
+// TestInvokeProfilesInterpTierOnly: once a function runs its compiled body,
+// the interpreter does not profile its frames, so an invocation's profile has
+// no entry for it while the interpreter-tier caller keeps its own.
+func TestInvokeProfilesInterpTierOnly(t *testing.T) {
+	m, err := New(testProg(), Config{Options: testOpts(), HotThreshold: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m.Tier("f") != TierCompiled {
+		if m.Telemetry().Invocations == 10 {
+			t.Fatal("f never promoted")
+		}
+		if _, err := m.Invoke(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := m.Invoke()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := res.Profile["f"]; ok {
+		t.Fatalf("compiled f was profiled: %+v", res.Profile["f"])
+	}
+	if _, ok := res.Profile["main"]; !ok {
+		t.Fatal("interpreter-tier main has no profile entry")
 	}
 }
 

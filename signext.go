@@ -276,7 +276,7 @@ func CompileSource(src string, o Options) (*Result, error) {
 
 // jitOptions maps facade options onto the pipeline's, with the resolved
 // branch profile.
-func (o Options) jitOptions(p interp.Profile) jit.Options {
+func (o Options) jitOptions(p Profile) jit.Options {
 	return jit.Options{
 		Variant:     o.Variant,
 		Machine:     o.Machine,
@@ -306,16 +306,12 @@ func CompileProgram(prog *ir.Program, o Options) (*Result, error) {
 	if err := peep.ValidateRules(o.PeepRules); err != nil {
 		return nil, err
 	}
-	var p interp.Profile
-	switch {
-	case o.Profile != nil:
-		p = o.Profile.ToInterp()
-	case o.WithProfile:
-		ip, err := jit.ProfileRun(prog, "main", 0)
-		if err != nil {
+	p := o.Profile
+	if p == nil && o.WithProfile {
+		var err error
+		if p, err = jit.ProfileRun(prog, "main", 0); err != nil {
 			return nil, err
 		}
-		p = ip
 	}
 	res, err := jit.Compile(prog, o.jitOptions(p))
 	if err != nil {
@@ -338,29 +334,6 @@ type Profile = profile.Profile
 
 // ParseProfile decodes a profile serialized with Profile.Marshal.
 func ParseProfile(data []byte) (Profile, error) { return profile.Unmarshal(data) }
-
-// GatherProfile executes the program's main once in the profiling
-// interpreter tier and returns the branch profile (maxSteps 0 = default
-// step budget). The profile of a trapping run's executed prefix is returned
-// alongside the error.
-func GatherProfile(prog *ir.Program, maxSteps int64) (Profile, error) {
-	res, err := interp.Run(prog, "main", interp.Options{
-		Mode:       interp.Mode32,
-		Profile:    true,
-		CountCalls: true,
-		MaxSteps:   maxSteps,
-	})
-	return profile.FromInterp(res.Profile, res.Calls), err
-}
-
-// GatherProfileSource is GatherProfile over MiniJava source.
-func GatherProfileSource(src string, maxSteps int64) (Profile, error) {
-	cu, err := minijava.Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	return GatherProfile(cu.Prog, maxSteps)
-}
 
 // Tier-runtime types re-exported for facade users.
 type (
