@@ -12,7 +12,7 @@
 // backing array, and each list is capped at its own end so that growing one
 // copies it out instead of overwriting its neighbour. Instructions are found
 // by Instr.ID; an instruction created after Build, or removed through
-// RemoveSameRegExt, has no chains.
+// RemoveSameRegExt or Forget, has no chains.
 package chains
 
 import (
@@ -46,6 +46,11 @@ type Chains struct {
 	defs []dataflow.DefSite   // definition number -> site
 	ud   [][]dataflow.DefSite // use slot -> reaching definitions, ascending by number
 	du   [][]UseSite          // definition number -> reached uses, in layout order
+
+	// Lists that SetUD or Moved left out of layout order, for Sort, and
+	// Sort's scratch.
+	unsortedDU, unsortedUD []int32 // definition numbers, use slots
+	ord                    []int32
 }
 
 // Build computes fresh chains for fn.
@@ -274,7 +279,106 @@ func (c *Chains) RemoveSameRegExt(e *ir.Instr) {
 // unchanged, as licm's hoisting conditions do; only the positions that order
 // the lists moved. Afterwards the chains equal a fresh Build list for list.
 func (c *Chains) Moved(moved ...*ir.Instr) {
-	ord := make([]int32, c.Fn.NumInstrIDs()) // Instr.ID -> layout ordinal
+	for _, ins := range moved {
+		for op := 0; op < ins.NumUses(); op++ {
+			for _, d := range c.UD(ins, op) {
+				if dn := c.defOf(d); dn >= 0 {
+					c.unsortedDU = append(c.unsortedDU, int32(dn))
+				}
+			}
+		}
+		for _, u := range c.DU(ins) {
+			if s := c.slotOf(u.Instr, u.OpIdx); s >= 0 {
+				c.unsortedUD = append(c.unsortedUD, int32(s))
+			}
+		}
+	}
+	c.Sort()
+}
+
+// The maintenance below lets a pass that rewrites operands or deletes
+// instructions, without touching the CFG, keep the chains equal to a fresh
+// Build instead of rebuilding them. Each call names the edges that changed;
+// the caller vouches for which definitions reach a rewritten operand.
+
+// unlinkUse removes use u, whose slot is s, from the DU list of every
+// definition its UD list names.
+func (c *Chains) unlinkUse(s int, u UseSite) {
+	for _, d := range c.ud[s] {
+		if dn := c.defOf(d); dn >= 0 {
+			c.du[dn] = removeUse(c.du[dn], u)
+		}
+	}
+}
+
+// DropUses removes the edges of every operand ins had when the chains last
+// saw it, and gives ins one empty use slot per operand it has now. A pass
+// calls it after changing the operands of ins in place, as constant folding
+// (no operands left) and CSE (one copy source) do; SetUD fills new slots.
+func (c *Chains) DropUses(ins *ir.Instr) {
+	e := c.entryOf(ins)
+	if e == nil {
+		return
+	}
+	for op := 0; op < int(e.nuse); op++ {
+		s := int(e.slot) + op
+		c.unlinkUse(s, UseSite{ins, op})
+		c.ud[s] = c.ud[s][:0]
+	}
+	if n := ins.NumUses(); n > int(e.nuse) {
+		e.slot = int32(len(c.ud))
+		c.ud = append(c.ud, make([][]dataflow.DefSite, n)...)
+	}
+	e.nuse = int32(ins.NumUses())
+}
+
+// SetUD makes defs, ascending as Build orders them, the definitions reaching
+// operand op of ins, in place of those recorded, and patches the DU side.
+// The DU lists that gained the use stay out of layout order until Sort.
+func (c *Chains) SetUD(ins *ir.Instr, op int, defs []dataflow.DefSite) {
+	s := c.slotOf(ins, op)
+	if s < 0 {
+		panic("chains: SetUD on an operand without chains")
+	}
+	u := UseSite{ins, op}
+	c.unlinkUse(s, u)
+	c.ud[s] = append(c.ud[s][:0], defs...)
+	for _, d := range defs {
+		if dn := c.defOf(d); dn >= 0 {
+			c.du[dn] = append(c.du[dn], u)
+			c.unsortedDU = append(c.unsortedDU, int32(dn))
+		}
+	}
+}
+
+// Forget drops ins, which has been removed from its block, from the chains:
+// the edges of its operands go, and so does its definition, which must reach
+// no use the chains still record.
+func (c *Chains) Forget(ins *ir.Instr) {
+	e := c.entryOf(ins)
+	if e == nil {
+		return
+	}
+	c.DropUses(ins)
+	if e.def >= 0 {
+		if len(c.du[e.def]) > 0 {
+			panic("chains: Forget of a definition that still reaches a use")
+		}
+		c.du[e.def] = nil
+	}
+	e.ins = nil
+}
+
+// Sort restores layout order in the lists that SetUD and Moved left out of
+// it. A pass that calls SetUD calls Sort once, when it has finished.
+func (c *Chains) Sort() {
+	if len(c.unsortedDU) == 0 && len(c.unsortedUD) == 0 {
+		return
+	}
+	if n := c.Fn.NumInstrIDs(); cap(c.ord) < n {
+		c.ord = make([]int32, n)
+	}
+	ord := c.ord[:c.Fn.NumInstrIDs()] // Instr.ID -> layout ordinal
 	n := int32(0)
 	for _, b := range c.Fn.Blocks {
 		for _, ins := range b.Instrs {
@@ -292,18 +396,13 @@ func (c *Chains) Moved(moved ...*ir.Instr) {
 	byDef := func(a, b dataflow.DefSite) int { return cmp.Compare(defKey(a), defKey(b)) }
 	useKey := func(u UseSite) int64 { return int64(ord[u.Instr.ID])<<32 | int64(u.OpIdx) }
 	byUse := func(a, b UseSite) int { return cmp.Compare(useKey(a), useKey(b)) }
-	for _, ins := range moved {
-		for op := 0; op < ins.NumUses(); op++ {
-			for _, d := range c.UD(ins, op) {
-				if dn := c.defOf(d); dn >= 0 {
-					slices.SortFunc(c.du[dn], byUse)
-				}
-			}
-		}
-		for _, u := range c.DU(ins) {
-			if s := c.slotOf(u.Instr, u.OpIdx); s >= 0 {
-				slices.SortFunc(c.ud[s], byDef)
-			}
-		}
+	slices.Sort(c.unsortedDU)
+	for _, dn := range slices.Compact(c.unsortedDU) {
+		slices.SortFunc(c.du[dn], byUse)
 	}
+	slices.Sort(c.unsortedUD)
+	for _, s := range slices.Compact(c.unsortedUD) {
+		slices.SortFunc(c.ud[s], byDef)
+	}
+	c.unsortedDU, c.unsortedUD = c.unsortedDU[:0], c.unsortedUD[:0]
 }

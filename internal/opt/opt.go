@@ -25,16 +25,26 @@ type Stats struct {
 }
 
 // Run applies the full general-optimization pipeline to fn until it stops
-// changing (bounded number of rounds).
+// changing (bounded number of rounds). The CFG and the UD/DU chains are
+// built once: no pass changes the CFG, and every pass keeps the chains
+// equal to a fresh build of what it leaves.
 func Run(fn *ir.Func) Stats {
+	info := cfg.Compute(fn)
+	ch := chains.Build(fn, info)
+	step := func(pass string, n int) int {
+		if passed != nil {
+			passed(pass, fn, ch)
+		}
+		return n
+	}
 	var total Stats
 	for round := 0; round < 4; round++ {
 		var st Stats
-		st.Folded = constFold(fn)
-		st.Copies = localCopyProp(fn)
-		st.CSE = localCSE(fn)
-		st.Hoisted = licm(fn)
-		st.Dead = dce(fn)
+		st.Folded = step("constFold", constFold(fn, ch))
+		st.Copies = step("localCopyProp", localCopyProp(fn, ch))
+		st.CSE = step("localCSE", localCSE(fn, ch))
+		st.Hoisted = step("licm", licm(fn, info, ch))
+		st.Dead = step("dce", dce(fn, info, ch))
 		total.Folded += st.Folded
 		total.Copies += st.Copies
 		total.CSE += st.CSE
@@ -51,10 +61,9 @@ func Run(fn *ir.Func) Stats {
 // constants, using global reaching definitions so constants propagate across
 // blocks. Results of W-bit ops are materialized as properly extended
 // constants, which is what a real code generator emits and is always at
-// least as defined as the original dirty register.
-func constFold(fn *ir.Func) int {
-	info := cfg.Compute(fn)
-	ch := chains.Build(fn, info)
+// least as defined as the original dirty register. A folded instruction
+// reads nothing, so its uses leave the chains; no definition changes.
+func constFold(fn *ir.Func, ch *chains.Chains) int {
 	constOf := func(ins *ir.Instr, op int) (int64, bool) {
 		defs := ch.UD(ins, op)
 		if len(defs) == 0 {
@@ -86,6 +95,7 @@ func constFold(fn *ir.Func) int {
 		ins.Const = v
 		ins.NSrcs = 0
 		ins.Args = nil
+		ch.DropUses(ins)
 		n++
 	})
 	return n
@@ -162,8 +172,10 @@ func foldValue(ins *ir.Instr, constOf func(*ir.Instr, int) (int64, bool)) (int64
 }
 
 // localCopyProp rewrites, within each block, uses of a copied register to the
-// copy source while neither register is redefined.
-func localCopyProp(fn *ir.Func) int {
+// copy source while neither register is redefined. Nothing redefines the
+// source between the copy and a rewritten use, so the definitions reaching
+// the copy's operand are exactly those reaching the rewritten one.
+func localCopyProp(fn *ir.Func, ch *chains.Chains) int {
 	n := 0
 	for _, b := range fn.Blocks {
 		for k, ins := range b.Instrs {
@@ -180,6 +192,7 @@ func localCopyProp(fn *ir.Func) int {
 					for op := 0; op < x.NumUses(); op++ {
 						if x.UseAt(op) == r {
 							x.SetUseAt(op, s)
+							ch.SetUD(x, op, ch.UD(ins, 0))
 							n++
 						}
 					}
@@ -190,13 +203,20 @@ func localCopyProp(fn *ir.Func) int {
 			}
 		}
 	}
+	ch.Sort()
 	return n
 }
 
 // localCSE replaces, within each block, a pure recomputation of an earlier
 // expression with a copy of the earlier result. Sign extensions participate:
 // two identical "r = ext.32 r" in a row collapse.
-func localCSE(fn *ir.Func) int {
+//
+// An expression stays available while none of its registers (the result's
+// and the sources') is redefined. Each register carries the stamp of its
+// latest definition, so an entry is current while no stamp of its registers
+// is later than its own. The copy reads the result where the earlier
+// instruction left it, so that instruction is the copy's one definition.
+func localCSE(fn *ir.Func, ch *chains.Chains) int {
 	type exprKey struct {
 		op   ir.Op
 		w    ir.Width
@@ -207,12 +227,22 @@ func localCSE(fn *ir.Func) int {
 		fl   bool
 		cond ir.Cond
 	}
+	type held struct {
+		ins   *ir.Instr // the instruction whose result holds the expression
+		stamp int32     // its definition's stamp
+	}
 	n := 0
-	avail := map[exprKey]ir.Reg{} // expression -> register holding it
-	deps := map[ir.Reg][]exprKey{}
+	avail := map[exprKey]held{}
+	stamps := make([]int32, fn.NReg) // register -> stamp of its latest definition
+	now := int32(0)
+	copied := make([]dataflow.DefSite, 1) // the one definition a copy reads
+	current := func(k exprKey, h held) bool {
+		return stamps[h.ins.Dst] <= h.stamp &&
+			(k.s0 == ir.NoReg || stamps[k.s0] <= h.stamp) &&
+			(k.s1 == ir.NoReg || stamps[k.s1] <= h.stamp)
+	}
 	for _, b := range fn.Blocks {
 		clear(avail)
-		clear(deps)
 		for _, ins := range b.Instrs {
 			cseable := ins.Pure() && ins.HasDst() && ins.NumUses() <= 2 && len(ins.Args) == 0
 			var k exprKey
@@ -225,7 +255,7 @@ func localCSE(fn *ir.Func) int {
 				if ins.NSrcs > 1 {
 					k.s1 = ins.Srcs[1]
 				}
-				if prev, ok := avail[k]; ok && prev != ins.Dst {
+				if h, ok := avail[k]; ok && current(k, h) && h.ins.Dst != ins.Dst {
 					// Reuse the prior result. The width is preserved: the
 					// copy's width is what register-kind inference reads, so
 					// rewriting a 32-bit producer into a mov.64 would
@@ -235,36 +265,31 @@ func localCSE(fn *ir.Func) int {
 						op = ir.OpFMov
 					}
 					ins.Op = op
-					ins.Srcs[0] = prev
+					ins.Srcs[0] = h.ins.Dst
 					ins.NSrcs = 1
 					ins.Const = 0
+					ch.DropUses(ins)
+					copied[0] = dataflow.DefSite{Instr: h.ins, Param: -1, Reg: h.ins.Dst}
+					ch.SetUD(ins, 0, copied)
 					n++
 					replaced = true
 				}
 			}
-			// The definition kills every expression mentioning dst —
+			// The definition ends every expression mentioning dst —
 			// including, for a self-overwriting op, the one this very
 			// instruction would otherwise make available.
 			if ins.HasDst() {
-				for _, dk := range deps[ins.Dst] {
-					delete(avail, dk)
-				}
-				delete(deps, ins.Dst)
+				now++
+				stamps[ins.Dst] = now
 			}
 			if cseable && !replaced && ins.Dst != k.s0 && ins.Dst != k.s1 {
-				if _, ok := avail[k]; !ok {
-					avail[k] = ins.Dst
-					deps[ins.Dst] = append(deps[ins.Dst], k)
-					if k.s0 != ir.NoReg {
-						deps[k.s0] = append(deps[k.s0], k)
-					}
-					if k.s1 != ir.NoReg {
-						deps[k.s1] = append(deps[k.s1], k)
-					}
+				if h, ok := avail[k]; !ok || !current(k, h) {
+					avail[k] = held{ins, now}
 				}
 			}
 		}
 	}
+	ch.Sort()
 	return n
 }
 
@@ -277,9 +302,10 @@ func kindIsFloat(op ir.Op) bool {
 	return false
 }
 
-// dce removes pure instructions whose results are never observed.
-func dce(fn *ir.Func) int {
-	info := cfg.Compute(fn)
+// dce removes pure instructions whose results are never observed. A removed
+// definition reaches no remaining use, so ch, when given, forgets the removed
+// instructions and stays current.
+func dce(fn *ir.Func, info *cfg.Info, ch *chains.Chains) int {
 	lv := dataflow.ComputeLiveness(fn, info)
 	n := 0
 	live := dataflow.NewBitSet(fn.NReg)
@@ -299,8 +325,11 @@ func dce(fn *ir.Func) int {
 			}
 			ins.ForEachUse(func(_ int, r ir.Reg) { live.Set(int(r)) })
 		}
-		for _, d := range dead {
+		for _, d := range dead { // users before the definitions they read
 			b.Remove(d)
+			if ch != nil {
+				ch.Forget(d)
+			}
 			n++
 		}
 	}
@@ -310,13 +339,11 @@ func dce(fn *ir.Func) int {
 // licm hoists loop-invariant pure instructions into loop preheaders — the
 // effect the paper obtains from its partial redundancy elimination phase
 // ("loop-invariant sign extensions can be moved out of the loop").
-func licm(fn *ir.Func) int {
-	info := cfg.Compute(fn)
+func licm(fn *ir.Func, info *cfg.Info, ch *chains.Chains) int {
 	if !info.HasLoop() {
 		return 0
 	}
-	ch := chains.Build(fn, info)
-	lv := dataflow.ComputeLiveness(fn, info)
+	lv := newLiveness(fn, info)
 	n := 0
 	for _, l := range info.Loops {
 		pre := l.Preheader()
@@ -353,7 +380,11 @@ func licm(fn *ir.Func) int {
 				}
 				// The destination must not be live around the back edge
 				// before this definition (no prior value observed).
-				if lv.LiveIn(l.Header, ins.Dst) {
+				live := lv.LiveIn(l.Header, ins.Dst)
+				if liveRead != nil {
+					liveRead(fn, l.Header, ins.Dst, live)
+				}
+				if live {
 					continue
 				}
 				invariant := true
@@ -383,29 +414,103 @@ func licm(fn *ir.Func) int {
 			moved = append(moved, hoist...)
 		}
 		if len(moved) > 0 {
-			// Hoisting makes the destinations live into the header; refresh
-			// liveness for the next loop. The chains stay current: the
-			// hoisted instruction is the loop's only definition of a
-			// register not live into the header, and its operands are
-			// defined only outside the loop, so the same definitions reach
-			// its operands at the end of the preheader and the same uses
-			// see its definition. Moved restores the lists' layout order.
+			// The chains stay current: the hoisted instruction is the
+			// loop's only definition of a register not live into the
+			// header, and its operands are defined only outside the loop,
+			// so the same definitions reach its operands at the end of the
+			// preheader and the same uses see its definition. Moved
+			// restores the lists' layout order. Liveness changed for the
+			// hoisted destinations and sources only.
 			ch.Moved(moved...)
-			lv = dataflow.ComputeLiveness(fn, info)
+			lv.markStale(moved)
 			if hoisted != nil {
-				hoisted(fn, ch)
+				hoisted(fn, ch, lv)
 			}
 		}
 	}
 	return n
 }
 
-// hoisted, when set, sees the chains licm keeps after every loop that
-// hoisted; tests compare them with a fresh build.
-var hoisted func(fn *ir.Func, ch *chains.Chains)
+// liveness answers LiveIn for the IR as licm leaves it. The sets are solved
+// once, when licm starts. Moving an instruction changes the liveness of its
+// destination and its sources only, so after a loop hoists, those registers
+// are stale: a search over the blocks answers for them, and the sets for
+// every other register.
+type liveness struct {
+	sets   *dataflow.Liveness
+	stale  dataflow.BitSet // registers whose sets are out of date
+	seen   []int32         // Block.ID -> the search that last reached it
+	search int32
+	work   []*ir.Block
+}
+
+func newLiveness(fn *ir.Func, info *cfg.Info) *liveness {
+	return &liveness{
+		sets:  dataflow.ComputeLiveness(fn, info),
+		stale: dataflow.NewBitSet(fn.NReg),
+		seen:  make([]int32, fn.NumBlockIDs()),
+	}
+}
+
+// markStale marks the registers whose liveness the moves changed. licm marks
+// them when a loop is done: no later candidate in the same loop defines one
+// of them, since an in-loop definition of a hoisted destination or source
+// would have kept the hoist in the loop.
+func (lv *liveness) markStale(moved []*ir.Instr) {
+	for _, ins := range moved {
+		lv.stale.Set(int(ins.Dst))
+		ins.ForEachUse(func(_ int, r ir.Reg) { lv.stale.Set(int(r)) })
+	}
+}
+
+// LiveIn reports whether reg is live at the entry of b: whether some path
+// from there reads reg before writing it.
+func (lv *liveness) LiveIn(b *ir.Block, reg ir.Reg) bool {
+	if !lv.stale.Has(int(reg)) {
+		return lv.sets.LiveIn(b, reg)
+	}
+	lv.search++
+	lv.seen[b.ID] = lv.search
+	lv.work = append(lv.work[:0], b)
+	for len(lv.work) > 0 {
+		b := lv.work[len(lv.work)-1]
+		lv.work = lv.work[:len(lv.work)-1]
+		written := false
+		for _, ins := range b.Instrs {
+			for op := 0; op < ins.NumUses(); op++ {
+				if ins.UseAt(op) == reg {
+					return true
+				}
+			}
+			if ins.HasDst() && ins.Dst == reg {
+				written = true
+				break
+			}
+		}
+		if written {
+			continue
+		}
+		for _, s := range b.Succs {
+			if lv.seen[s.ID] != lv.search {
+				lv.seen[s.ID] = lv.search
+				lv.work = append(lv.work, s)
+			}
+		}
+	}
+	return false
+}
+
+// Hooks for tests: passed sees the chains Run keeps after every pass,
+// hoisted the chains and liveness licm keeps after every loop that hoisted,
+// and liveRead every liveness answer licm acts on.
+var (
+	passed   func(pass string, fn *ir.Func, ch *chains.Chains)
+	hoisted  func(fn *ir.Func, ch *chains.Chains, lv *liveness)
+	liveRead func(fn *ir.Func, b *ir.Block, reg ir.Reg, live bool)
+)
 
 // DCE removes pure instructions whose results are never observed and
 // returns the number removed. It is exported for passes (the peephole
 // rewriter) that orphan instructions and want the same cleanup the
 // optimizer applies between its own rounds.
-func DCE(fn *ir.Func) int { return dce(fn) }
+func DCE(fn *ir.Func) int { return dce(fn, cfg.Compute(fn), nil) }

@@ -3,6 +3,8 @@ package opt
 import (
 	"testing"
 
+	"signext/internal/cfg"
+	"signext/internal/chains"
 	"signext/internal/extelim"
 	"signext/internal/interp"
 	"signext/internal/ir"
@@ -146,6 +148,31 @@ func TestLocalCSE(t *testing.T) {
 	st := Run(b.Fn)
 	if st.CSE == 0 {
 		t.Fatalf("duplicate add not CSEd: %+v", st)
+	}
+}
+
+// TestLocalCSEOverwrittenHolder pins when an expression stops being
+// available: when one of its own registers is redefined, and only then.
+// Overwriting an earlier holder of the expression does not end a later one.
+func TestLocalCSEOverwrittenHolder(t *testing.T) {
+	b := ir.NewFunc("f", ir.Param{W: ir.W32}, ir.Param{W: ir.W32})
+	x, y := ir.Reg(0), ir.Reg(1)
+	r1 := b.Add(ir.W32, x, y)
+	b.ConstTo(ir.W32, x, 5)   // ends r1's x+y
+	r2 := b.Add(ir.W32, x, y) // the new x+y, held in r2
+	b.ConstTo(ir.W32, r1, 7)  // overwrites the old holder only
+	b.Add(ir.W32, x, y)       // a copy of r2
+	b.Ret(ir.NoReg)
+	ch := chains.Build(b.Fn, cfg.Compute(b.Fn))
+	if n := localCSE(b.Fn, ch); n != 1 {
+		t.Fatalf("localCSE replaced %d instructions, want 1:\n%s", n, b.Fn.Format())
+	}
+	last := b.Fn.Entry().Instrs[4]
+	if last.Op != ir.OpMov || last.Srcs[0] != r2 {
+		t.Fatalf("third x+y is %s, want a copy of %s", last, r2)
+	}
+	if err := chains.Diff(ch, chains.Build(b.Fn, cfg.Compute(b.Fn))); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -67,13 +67,38 @@ func (m *Match) RangeOf(name string) vrange.Range {
 	return m.an.OfOperandAt(s.ins, s.op)
 }
 
-// matchRule attempts to bind rule against anchor, trying the commuted
-// operand order as well when the rule allows it. dirty suppresses binding
-// instructions already rewritten this round (their cached analyses are
-// stale in ways the value-preservation argument does not cover).
-func matchRule(rule *Rule, anchor *ir.Instr, fn *ir.Func,
-	an *vrange.Analysis, ch *chains.Chains, dirty map[*ir.Instr]bool) *Match {
+// newMatch returns the Match that every attempt of one round against fn
+// binds into. Each attempt clears it, and a successful one is applied before
+// the next begins, so no binding outlives its attempt.
+func newMatch(fn *ir.Func, mach ir.Machine, an *vrange.Analysis, ch *chains.Chains) *Match {
+	return &Match{
+		Fn:     fn,
+		M:      mach,
+		an:     an,
+		ch:     ch,
+		regs:   map[string]ir.Reg{},
+		sites:  map[string]bindSite{},
+		consts: map[string]int64{},
+	}
+}
 
+// reset clears m for an attempt against anchor.
+func (m *Match) reset(anchor *ir.Instr) {
+	m.Ins = anchor
+	m.W = anchor.W
+	clear(m.regs)
+	clear(m.sites)
+	clear(m.consts)
+	clear(m.scratch)
+	m.subs = m.subs[:0]
+}
+
+// matchRule attempts to bind rule against anchor into m, trying the commuted
+// operand order as well when the rule allows it, and reports whether it
+// matched. dirty suppresses binding instructions already rewritten this
+// round (their cached analyses are stale in ways the value-preservation
+// argument does not cover).
+func matchRule(m *Match, rule *Rule, anchor *ir.Instr, dirty map[*ir.Instr]bool) bool {
 	widthOK := false
 	for _, w := range rule.Widths {
 		if anchor.W == w {
@@ -82,23 +107,14 @@ func matchRule(rule *Rule, anchor *ir.Instr, fn *ir.Func,
 		}
 	}
 	if !widthOK {
-		return nil
+		return false
 	}
 	orders := [][]int{nil} // nil means identity order
 	if rule.Commute && len(rule.Pattern.Args) == 2 {
 		orders = append(orders, []int{1, 0})
 	}
 	for _, order := range orders {
-		m := &Match{
-			Fn:     fn,
-			Ins:    anchor,
-			W:      anchor.W,
-			an:     an,
-			ch:     ch,
-			regs:   map[string]ir.Reg{},
-			sites:  map[string]bindSite{},
-			consts: map[string]int64{},
-		}
+		m.reset(anchor)
 		if !m.matchPat(anchor, &rule.Pattern, order, dirty) {
 			continue
 		}
@@ -113,10 +129,10 @@ func matchRule(rule *Rule, anchor *ir.Instr, fn *ir.Func,
 			}
 		}
 		if ok {
-			return m
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // matchPat binds one pattern instruction. order, when non-nil, permutes the

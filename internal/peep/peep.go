@@ -88,6 +88,7 @@ func runRound(fn *ir.Func, c Config, enabled []*Rule, st *Stats) int {
 	an := vrange.Compute(fn, ch, info, c.Machine, c.MaxArrayLen)
 	reach := reachable(fn)
 	dirty := map[*ir.Instr]bool{}
+	m := newMatch(fn, c.Machine, an, ch)
 	n := 0
 	for _, b := range fn.Blocks {
 		if !reach[b] {
@@ -102,11 +103,9 @@ func runRound(fn *ir.Func, c Config, enabled []*Rule, st *Stats) int {
 				if ins.Op != rule.Pattern.Op {
 					continue
 				}
-				m := matchRule(rule, ins, fn, an, ch, dirty)
-				if m == nil {
+				if !matchRule(m, rule, ins, dirty) {
 					continue
 				}
-				m.M = c.Machine
 				inserted, ok := m.apply(rule)
 				if !ok {
 					continue

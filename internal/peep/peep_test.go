@@ -150,7 +150,7 @@ func matchesAnywhere(rule *Rule, fn *ir.Func) bool {
 	an := vrange.Compute(fn, ch, info, ir.IA64, 0)
 	for _, b := range fn.Blocks {
 		for _, ins := range b.Instrs {
-			if matchRule(rule, ins, fn, an, ch, map[*ir.Instr]bool{}) != nil {
+			if matchRule(newMatch(fn, ir.IA64, an, ch), rule, ins, map[*ir.Instr]bool{}) {
 				return true
 			}
 		}
